@@ -319,12 +319,13 @@ func microBenchmarks() []benchResult {
 		runKernel("DeltaMine/steady-drift-full", steadyDrift(noDeltaCfg)),
 		// Parallel poll-path kernel: one op is one full merged poll over
 		// 4 warmed shard snapshots with the incremental cache disabled —
-		// clone + 4-leg shard merge + FPGrowth mine + canonical recount,
-		// the whole pipeline the PollParallelism workers stripe. The -w1
-		// twin runs the identical workload on the serial path; the w4/w1
-		// ns/op ratio is the parallel speedup, expected >= 1.8x on a
-		// machine with >= 4 cores (on fewer cores the two converge, and
-		// -compare only warns because go_max_procs won't match).
+		// clone + outlier-side shard merge + FPGrowth mine + canonical
+		// recount + per-shard inlier counting, the whole pipeline the
+		// PollParallelism workers stripe. The -w1 twin runs the
+		// identical workload on the serial path; the w4/w1 ns/op ratio
+		// is the parallel speedup on machines with >= 4 cores (on fewer
+		// cores the two converge, and -compare only warns because
+		// go_max_procs won't match).
 		// Output-identity across W is pinned by the explain differential
 		// and golden tests, not here.
 		runKernel("PollParallel/p3s4", pollParallel(4)),

@@ -286,12 +286,13 @@
 //     decided long before the counting walk finishes: past the
 //     algebraic break-even inlier count (inlierBreakEven), no
 //     remaining chain mass can lift the ratio back over
-//     MinRiskRatio. ItemsetSupportCapped abandons the walk strictly
-//     past that bound (with a safety margin, so completed walks
-//     return exact counts and output is invariant); both the batch
-//     and streaming explainers use it, the streaming side counting
-//     abandoned walks in CacheStats.EarlyExits and gating the exit
-//     behind StreamingConfig.DisableEarlyExit.
+//     MinRiskRatio. The capped support walks (fptree's
+//     ItemsetSupportCapped, cps.Counter.SupportCapped) abandon the
+//     walk strictly past that bound (with a safety margin, so
+//     completed walks return exact counts and output is invariant);
+//     both the batch and streaming explainers use them, the streaming
+//     side counting abandoned walks in CacheStats.EarlyExits and
+//     gating the exit behind StreamingConfig.DisableEarlyExit.
 //
 // Correctness rides on the same differential harness as the cache: the
 // randomized sequential and sharded interleavings now drive the
@@ -308,22 +309,31 @@
 // The caches above make most polls cheap; the polls that still pay —
 // a cold merged poll, a decay-tick fallback, a first poll after heavy
 // drift — were single-core even on machines with idle cores. The poll
-// path is therefore parallel end to end, governed by one knob
+// path is therefore parallel, governed by one knob
 // (pipeline.Config.PollParallelism → explain.StreamingConfig.
 // PollParallelism, default GOMAXPROCS) and one contract: ranked output
 // is reflect.DeepEqual-identical for every worker count W, and W=1
 // runs the verbatim serial code — not a unified implementation that
 // happens to use one worker — so it is bit-exact with the historical
-// path by construction. Three stages fan out:
+// path by construction.
 //
-//   - Shard merge (explain.mergeInto): the merged fold touches four
-//     disjoint structures — outlier sketch, inlier sketch, outlier
-//     tree, inlier tree — so up to four workers each run the FULL
-//     sequential fold of one leg. Deliberately not a pairwise merge
-//     tree: float addition is non-associative and a merged tree's
-//     chain order depends on insertion order, so regrouping (a+b)+c
-//     into a+(b+c) changes bits; folding each leg in the same order as
-//     the serial code, just on its own goroutine, changes none.
+// A merged poll first reconciles the shards (explain.mergeInto), a
+// plain serial left fold in shard order. It merges only what candidate
+// discovery needs: the outlier tree FPGrowth mines, the two
+// single-attribute sketches, and the class totals — under a
+// millisecond. Inlier trees are never merged (paper §5.3: the inlier
+// side only has to count the combinations the outliers surface): each
+// shard's inlier tree stays where it is, and every inlier count is the
+// sum of per-shard support walks taken in shard order, the running sum
+// carried from walk to walk so the break-even early exit caps the sum,
+// not each shard's share. The sum is exact because a tree merge is a
+// lossless union of weighted paths; only its float summation order
+// differs from a merged tree's. That order is the determinism boundary
+// at P>1: a merged poll is a pure function of the shard states and
+// their order, bit-identical across W and across the cached, delta and
+// full paths, while Streaming.Merge — the public full union, inlier
+// trees included — agrees with it to rounding. P=1 merges nothing and
+// is bit-exact with the sequential explainer. Two stages then fan out:
 //
 //   - FPGrowth mining (fptree.Tree.MineParallelWith): top-level header
 //     items are striped across W miners, each with its own recycled
@@ -331,21 +341,22 @@
 //     are concatenated in the serial loop's order, making the output
 //     element-wise identical to Mine regardless of W or scheduling.
 //
-//   - Canonical recounting (cps.Counter): the ItemsetSupport passes —
-//     combination filtering, full-table and delta-table recounts — are
-//     striped the same way. Counting walks are pure reads of the node
-//     arena (each worker owns a private query-scratch Counter), counts
-//     land in index-addressed slots, and early-exit tallies are summed
-//     per worker then added once, so even the CacheStats counters are
-//     W-invariant.
+//   - Counting (cps.Counter): the support passes — per-shard inlier
+//     counting for combination filtering, full-table and delta-table
+//     outlier recounts — are striped the same way. Counting walks are
+//     pure reads of the node arenas (each worker owns a private
+//     query-scratch Counter and walks the shards in order itself),
+//     counts land in index-addressed slots, and early-exit tallies are
+//     summed per worker then added once, so even the CacheStats
+//     counters are W-invariant.
 //
 // The ownership rule underneath: workers never share mutable state —
-// each owns either a disjoint structure (a merge leg) or a private
-// scratch object (a Miner, a Counter) plus exclusive index ranges of a
-// preallocated result slice — and the spawning goroutine assembles
-// results in serial order after all workers join. No atomics, no
-// channels, no locks on the hot path; allocation patterns are
-// deterministic, so the allocs/op gates hold at every W.
+// each owns a private scratch object (a Miner, a Counter) plus
+// exclusive index ranges of a preallocated result slice — and the
+// spawning goroutine assembles results in serial order after all
+// workers join. No atomics, no channels, no locks on the hot path;
+// allocation patterns are deterministic, so the allocs/op gates hold
+// at every W.
 //
 // The session layer turns the parallelism into latency rather than
 // contention: pipeline.StreamSession splits its old poll lock into
@@ -356,9 +367,10 @@
 // no longer convoys every concurrent poller (pinned by a
 // held-lock latency test and a -race hammer with rebalancing live).
 // Determinism across W is pinned by the differential harness, the
-// fuzz corpus, and the goldens, all replayed at W∈{1,2,4}; the
-// PollParallel/p3s4 mbbench kernel and its -w1 twin measure the
-// speedup (>= 1.8x at W=4 on a 4-core machine).
+// fuzz corpus, and the goldens, all replayed at W∈{1,2,4}, on both
+// the Merge and the MergeShared (retained-snapshot) paths; the
+// PollParallel/p3s4 mbbench kernel and its -w1 twin measure a cold
+// 4-shard merged poll at W=4 and W=1.
 //
 // # Push-based partitioned ingest
 //

@@ -25,7 +25,9 @@ type ShardPipeline struct {
 // StreamStats aggregates a sharded run's statistics.
 type StreamStats struct {
 	// RunStats totals across shards. Points counts what the ingest
-	// goroutines partitioned; the remaining fields sum the shard
+	// goroutines delivered to shard workers (a send cancelled by a stop
+	// is not counted), so it equals the PerShard points plus the
+	// ShardFailures' dropped points; the remaining fields sum the shard
 	// workers'.
 	RunStats
 	// PerShard holds each shard worker's own statistics.
@@ -773,15 +775,16 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 					// Single shard: the worker takes ownership of the
 					// whole recycled batch — routing degenerates to a
 					// pointer handoff, no copy at all.
-					r.notePoints(int64(ib.Len()))
 					if tracker != nil {
 						off := cp.Offset()
 						tracker.begin(off, 1)
 						ib.ackT, ib.ackOff = tracker, off
 					}
+					n := ib.Len()
 					if !send(ctx, workers[0], ib) {
 						return nil // cancelled: defer recycles the undelivered ib
 					}
+					r.notePoints(int64(n))
 					ib = pool.Get()
 					continue
 				}
@@ -802,7 +805,6 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 		if ctx.Err() != nil {
 			return nil // cancelled while a non-cancellable read was in flight
 		}
-		r.notePoints(int64(len(pts)))
 		// Scatter: one pass, appending each point's payload into its
 		// shard's staged slab. The copy severs every reference to the
 		// source's memory, which is what lets the source (and ib)
@@ -863,12 +865,17 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 				}
 			}
 		}
+		// Points are counted per delivered sub-batch, never on read: a
+		// send cancelled by a stop leaves its points uncounted, so the
+		// run's Points always equals what the shards took.
 		for s, sb := range staging {
 			if sb != nil && sb.Len() > 0 {
+				n := sb.Len()
 				if !send(ctx, workers[s], sb) {
 					return nil // cancelled: defer recycles the undelivered loans
 				}
 				staging[s] = nil
+				r.notePoints(int64(n))
 			}
 		}
 	}

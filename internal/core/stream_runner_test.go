@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // shardCollectExplainer records consumed outlier/inlier counts and
@@ -241,5 +242,89 @@ func TestHashPartitionStableAndInRange(t *testing.T) {
 	}
 	if s := HashPartition(&Point{}, 8); s != 0 {
 		t.Errorf("attribute-less point routed to %d, want 0", s)
+	}
+}
+
+// gateClassifier labels every point an inlier, but each call first
+// blocks until gate closes; entered closes on the first call. Shared
+// across shards, it holds every worker on its first batch so the
+// bounded shard queues fill and ingest blocks in send.
+type gateClassifier struct {
+	once    sync.Once
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (c *gateClassifier) ClassifyBatch(dst []LabeledPoint, batch []Point) []LabeledPoint {
+	c.once.Do(func() { close(c.entered) })
+	<-c.gate
+	for i := range batch {
+		dst = append(dst, LabeledPoint{Point: batch[i], Label: Inlier})
+	}
+	return dst
+}
+
+// TestStreamRunnerPointsCountDeliveredOnly: a stop that cancels ingest
+// while it is blocked in a send must not count the undelivered points.
+// Points has to equal what the shards consumed plus what quarantined
+// shards dropped, on the scatter path and on the slab-native path with
+// one shard (pointer handoff) and several (sub-batch fan-out).
+func TestStreamRunnerPointsCountDeliveredOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		native bool
+	}{
+		{"scatter/2shards", 2, false},
+		{"native/1shard", 1, true},
+		{"native/3shards", 3, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cls := &gateClassifier{entered: make(chan struct{}), gate: make(chan struct{})}
+			sr := StreamRunner{
+				Shards: tc.shards,
+				NewShard: func(shard int) ShardPipeline {
+					return ShardPipeline{Classifier: cls, Explainer: &shardCollectExplainer{}}
+				},
+				BatchSize:  64,
+				QueueDepth: 1,
+			}
+			if tc.native {
+				sr.Partitioned = &aliasSource{parts: []*aliasPartition{{total: 1 << 30, chunk: 64}}}
+			} else {
+				sr.Source = NewFuncSource(64, func(dst []Point) int {
+					for i := range dst {
+						dst[i] = Point{Metrics: []float64{1}, Attrs: []int32{int32(i % 17)}}
+					}
+					return len(dst)
+				})
+			}
+			done := make(chan error, 1)
+			var stats StreamStats
+			go func() {
+				var err error
+				stats, err = sr.Run()
+				done <- err
+			}()
+			<-cls.entered
+			// Give ingest time to fill every shard queue and block in send,
+			// so the stop below cancels a send rather than a read.
+			time.Sleep(10 * time.Millisecond)
+			sr.RequestStop()
+			close(cls.gate)
+			if err := <-done; !errors.Is(err, ErrStopped) {
+				t.Fatalf("want ErrStopped, got %v", err)
+			}
+			sum := 0
+			for _, ps := range stats.PerShard {
+				sum += ps.Points
+			}
+			for _, f := range stats.ShardFailures {
+				sum += int(f.DroppedPoints)
+			}
+			if stats.Points == 0 || stats.Points != sum {
+				t.Fatalf("Points = %d, per-shard + dropped = %d (per shard %+v)", stats.Points, sum, stats.PerShard)
+			}
+		})
 	}
 }

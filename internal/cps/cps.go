@@ -473,25 +473,6 @@ func (t *Tree) ItemsetSupport(items []int32) float64 {
 	return t.arena.Support(q, t.rank)
 }
 
-// ItemsetSupportCapped is ItemsetSupport with an early exit: the
-// chain walk stops once the running support exceeds cap, returning
-// the partial sum and exceeded=true. A completed walk returns a total
-// bit-identical to ItemsetSupport's.
-func (t *Tree) ItemsetSupportCapped(items []int32, cap float64) (float64, bool) {
-	if len(items) == 0 {
-		return 0, false
-	}
-	q := append(t.queryScratch[:0], items...)
-	t.queryScratch = q
-	for _, it := range q {
-		if t.rankOf(it) < 0 {
-			return 0, false
-		}
-	}
-	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
-}
-
 // ForEachPath visits the tree's stored transactions as (items, weight)
 // pairs, the export half of tree merging: replaying every visited path
 // into an empty tree reproduces this tree's counts. The items slice is
@@ -570,8 +551,8 @@ func (t *Tree) Clone() *Tree {
 // reads. The only requirement is the usual reader rule: no mutating
 // tree method (Insert, Restructure, Merge, Decay) and no scratch-using
 // tree method (Mine, ItemsetSupport, ForEachPath) may run while
-// Counters are active. Results are bit-identical to the tree's own
-// ItemsetSupport/ItemsetSupportCapped.
+// Counters are active. Support is bit-identical to the tree's own
+// ItemsetSupport.
 type Counter struct {
 	tree *Tree
 	buf  []int32
@@ -598,19 +579,26 @@ func (c *Counter) Support(items []int32) float64 {
 	return t.arena.Support(q, t.rank)
 }
 
-// SupportCapped is ItemsetSupportCapped on the counter's tree.
-func (c *Counter) SupportCapped(items []int32, cap float64) (float64, bool) {
+// SupportCapped is Support with an early exit: the walk stops once
+// the running total exceeds cap, returning the partial sum and
+// exceeded=true. The running total starts at from, so summing one
+// query over several trees (Retarget between walks, carrying the
+// total) keeps "exceeded" meaning exactly "the sum passed cap". An
+// item the tree does not track contributes nothing: the result is
+// (from, false). With from=0, a completed walk returns a total
+// bit-identical to Support's.
+func (c *Counter) SupportCapped(items []int32, from, cap float64) (float64, bool) {
 	if len(items) == 0 {
-		return 0, false
+		return from, false
 	}
 	t := c.tree
 	q := append(c.buf[:0], items...)
 	c.buf = q
 	for _, it := range q {
 		if t.rankOf(it) < 0 {
-			return 0, false
+			return from, false
 		}
 	}
 	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
+	return t.arena.SupportCapped(q, t.rank, from, cap)
 }

@@ -110,10 +110,10 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 
 // diffParallelisms are the PollParallelism values every differential
 // replay runs side by side: W=1 is the serial reference path, W=2 and
-// W=4 exercise the striped merge/mine/recount workers. Every poll must
-// be reflect.DeepEqual-identical across all of them (and to the
-// cache-disabled reference), pinning the parallel pipeline's
-// determinism contract.
+// W=4 exercise the striped mine, recount and inlier-count workers.
+// Every poll must be reflect.DeepEqual-identical across all of them
+// (and to the cache-disabled reference), pinning the parallel
+// pipeline's determinism contract.
 var diffParallelisms = []int{1, 2, 4}
 
 // runDiffSequential replays ops against uncached W=1 reference plus
@@ -156,10 +156,14 @@ func runDiffSequential(cfg StreamingConfig, ops []diffOp) string {
 	return ""
 }
 
-// runDiffSharded replays ops against P=3 shard trios: one cached trio
-// per PollParallelism value polls through its own resident PollMerger
-// over snapshot clones (the session serving path), while the plain
-// side re-merges cache-disabled W=1 clones from scratch at every poll.
+// runDiffSharded replays ops against P=3 shard trios: per
+// PollParallelism value, one cached trio polls through its own
+// resident PollMerger over fresh snapshot clones (Merge), and a second
+// through MergeShared over retained snapshots that are re-taken only
+// for shards whose Signature moved (the session's snapshot-elision
+// path, where a merged poll's inlier trees are the retained
+// snapshots'). The plain side re-merges cache-disabled W=1 clones from
+// scratch at every poll.
 func runDiffSharded(cfg StreamingConfig, ops []diffOp) string {
 	const p = 3
 	plainCfg := cfg
@@ -169,16 +173,19 @@ func runDiffSharded(cfg StreamingConfig, ops []diffOp) string {
 	for i := 0; i < p; i++ {
 		plain[i] = NewStreaming(plainCfg)
 	}
-	cached := make([][]*Streaming, len(diffParallelisms))
-	mergers := make([]*PollMerger, len(diffParallelisms))
-	for wi, w := range diffParallelisms {
+	// Trio 2*wi polls through Merge, trio 2*wi+1 through MergeShared.
+	cached := make([][]*Streaming, 2*len(diffParallelisms))
+	mergers := make([]*PollMerger, len(cached))
+	retained := make([][]*Streaming, len(cached))
+	for ti := range cached {
 		wcfg := cfg
-		wcfg.PollParallelism = w
-		cached[wi] = make([]*Streaming, p)
+		wcfg.PollParallelism = diffParallelisms[ti/2]
+		cached[ti] = make([]*Streaming, p)
 		for i := 0; i < p; i++ {
-			cached[wi][i] = NewStreaming(wcfg)
+			cached[ti][i] = NewStreaming(wcfg)
 		}
-		mergers[wi] = NewPollMerger()
+		mergers[ti] = NewPollMerger()
+		retained[ti] = make([]*Streaming, p)
 	}
 	clones := func(ss []*Streaming) []*Streaming {
 		out := make([]*Streaming, len(ss))
@@ -213,11 +220,21 @@ func runDiffSharded(cfg StreamingConfig, ops []diffOp) string {
 			}
 		case diffPoll:
 			want := MergeStreamingInto(clones(plain))
-			for wi := range cached {
-				got := mergers[wi].Merge(clones(cached[wi]))
+			for ti := range cached {
+				var got []core.Explanation
+				if ti%2 == 0 {
+					got = mergers[ti].Merge(clones(cached[ti]))
+				} else {
+					for j, sh := range cached[ti] {
+						if r := retained[ti][j]; r == nil || r.Signature() != sh.Signature() {
+							retained[ti][j] = sh.SnapshotClone()
+						}
+					}
+					got = mergers[ti].MergeShared(retained[ti])
+				}
 				if !reflect.DeepEqual(got, want) {
-					return fmt.Sprintf("op %d (sharded poll, W=%d): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
-						i, diffParallelisms[wi], len(got), len(want), got, want)
+					return fmt.Sprintf("op %d (sharded poll, W=%d, shared=%v): cached %d exps != plain %d exps\ncached: %v\nplain:  %v",
+						i, diffParallelisms[ti/2], ti%2 == 1, len(got), len(want), got, want)
 				}
 			}
 		}

@@ -217,7 +217,7 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 	serialCfg.PollParallelism = 1
 	s, plain := NewStreaming(serialCfg), NewStreaming(plainCfg)
 	// Parallel twins: same cached configuration at W=2 and W=4. The
-	// striped merge/mine/recount workers must reproduce the serial
+	// striped mine/recount workers must reproduce the serial
 	// ranked output bit-for-bit at every poll.
 	var twins []*Streaming
 	for _, w := range []int{2, 4} {

@@ -135,8 +135,9 @@ func goldenStreamingRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayE
 // output is a resident PollMerger's first merged poll (a full mine,
 // identical to MergeStreaming by the differential tests); the warm
 // output is the merger's second poll over fresh clones of unchanged
-// shards, served from its cache.
-func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (cold, warm string) {
+// shards, served from its cache; the shared output is a fresh merger's
+// MergeShared poll over the same clones, the snapshot-elision path.
+func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEvery int) (cold, warm, shared string) {
 	const p = 3
 	shards := make([]*Streaming, p)
 	bufs := make([][]core.LabeledPoint, p)
@@ -169,7 +170,8 @@ func goldenShardedRun(labeled []core.LabeledPoint, cfg StreamingConfig, decayEve
 		}
 		return out
 	}
-	return goldenFormat(merger.Merge(clones())), goldenFormat(merger.Merge(clones()))
+	return goldenFormat(merger.Merge(clones())), goldenFormat(merger.Merge(clones())),
+		goldenFormat(NewPollMerger().MergeShared(clones()))
 }
 
 func checkGolden(t *testing.T, name, got string) {
@@ -216,10 +218,13 @@ func TestGoldenStreamingExplanations(t *testing.T) {
 				}
 			})
 			t.Run(fmt.Sprintf("%s/sharded/W%d", w.name, par), func(t *testing.T) {
-				cold, warm := goldenShardedRun(labeled, wcfg, 9000)
+				cold, warm, shared := goldenShardedRun(labeled, wcfg, 9000)
 				checkGolden(t, "golden_"+w.name+"_sharded.txt", cold)
 				if warm != cold {
 					t.Errorf("warm cached poll diverged from cold poll:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
+				}
+				if shared != cold {
+					t.Errorf("MergeShared poll diverged from cold poll:\n--- cold ---\n%s--- shared ---\n%s", cold, shared)
 				}
 			})
 		}

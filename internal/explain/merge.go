@@ -12,11 +12,21 @@ import (
 // that MacroBase's sharded streaming engine can keep shared-nothing
 // per-shard explainers and still produce one global ranked explanation
 // set: each shard summarizes its hash partition of the labeled stream,
-// and a merge stage clones the per-shard states and folds them
-// together. Because the underlying AMC sketches and M-CPS-trees merge
-// with summed error bounds (mergeable summaries), a merged explainer
-// over P disjoint partitions answers support queries within P times the
-// single-shard bound — the consistency trade-off of sharded execution.
+// and a merge stage reconciles the per-shard states. Because the
+// underlying AMC sketches and M-CPS-trees merge with summed error
+// bounds (mergeable summaries), a merged explainer over P disjoint
+// partitions answers support queries within P times the single-shard
+// bound — the consistency trade-off of sharded execution.
+//
+// A merged poll (mergeInto, PollMerger) merges only what discovery
+// needs: the outlier tree FPGrowth mines, the two single-attribute
+// sketches, and the class totals. The inlier side only has to count
+// the combinations the outliers surface (paper §5.3), so each shard
+// keeps its own inlier tree and answers those count queries; an
+// inlier count is the shard-order sum of per-shard support walks,
+// exact up to float summation order because a tree merge is a
+// lossless union of weighted paths. Streaming.Merge, the public full
+// union, still merges the inlier trees too.
 
 // Clone returns a deep copy of the explainer's summary state (sketches,
 // trees, class totals). A shard worker hands clones to the merge stage
@@ -27,12 +37,21 @@ import (
 // counters do not — a clone starts counting from zero so per-poll
 // deltas are attributable.
 func (s *Streaming) Clone() *Streaming {
+	c := s.pollClone()
+	c.inTree = s.inTree.Clone()
+	return c
+}
+
+// pollClone is Clone for a merged poll's fold target: everything
+// mergeInto writes is copied, but the inlier tree — never merged into
+// on the poll path, only read through Counters — is shared with s.
+func (s *Streaming) pollClone() *Streaming {
 	return &Streaming{
 		cfg:      s.cfg,
 		outAttrs: s.outAttrs.Clone(),
 		inAttrs:  s.inAttrs.Clone(),
 		outTree:  s.outTree.Clone(),
-		inTree:   s.inTree.Clone(),
+		inTree:   s.inTree,
 		totalOut: s.totalOut,
 		totalIn:  s.totalIn,
 
@@ -76,114 +95,32 @@ func (s *Streaming) Merge(other *Streaming) {
 }
 
 // mergeInto folds rest into dst, the reduction under every merged
-// poll. With poll parallelism > 1 the four independent summary legs —
-// outlier sketch, inlier sketch, outlier tree, inlier tree — run on
-// separate workers, each performing the identical sequential per-shard
-// fold the serial path would. A leg touches only its own dst structure
-// and reads only its own structure on each source (a tree's path
-// replay uses that tree's scratch, a sketch merge reads the source
-// read-only), so the legs commute freely across workers and the result
-// is bit-identical to the interleaved left fold of Merge. Note this is
-// deliberately NOT a pairwise merge tree over shards: float addition
-// is non-associative and merged-tree chain order depends on insertion
-// order, so reassociating the shard folds would change low-order bits
-// and canonical-recount accumulation order. Per-leg parallelism is the
-// determinism boundary — it buys up to 4-way concurrency without
-// touching any per-leg arithmetic order (the mine and recount passes
-// scale past 4; see doc.go).
+// poll: a left fold, in shard order, of the outlier sketch, inlier
+// sketch, outlier tree and class totals. Inlier trees are not merged:
+// dst collects them in shard order (inRest) and Explanations sums
+// per-shard support walks over them. The fold order is fixed — float
+// addition is non-associative and a merged tree's chain order depends
+// on insertion order — so a poll's output is a pure function of the
+// shard states and their order.
 func mergeInto(dst *Streaming, rest []*Streaming) {
-	if len(rest) == 0 {
-		return
-	}
-	w := dst.cfg.parallelism()
-	if w <= 1 {
-		for _, sh := range rest {
-			dst.Merge(sh)
-		}
-		return
-	}
-	if w > 4 {
-		w = 4
-	}
-	runStriped(w, func(wk int) {
-		for leg := wk; leg < 4; leg += w {
-			switch leg {
-			case 0:
-				for _, sh := range rest {
-					dst.outAttrs.Merge(sh.outAttrs)
-				}
-			case 1:
-				for _, sh := range rest {
-					dst.inAttrs.Merge(sh.inAttrs)
-				}
-			case 2:
-				for _, sh := range rest {
-					dst.outTree.Merge(sh.outTree)
-				}
-			case 3:
-				for _, sh := range rest {
-					dst.inTree.Merge(sh.inTree)
-				}
-			}
-		}
-	})
 	for _, sh := range rest {
+		dst.outAttrs.Merge(sh.outAttrs)
+		dst.inAttrs.Merge(sh.inAttrs)
+		dst.outTree.Merge(sh.outTree)
+		dst.inRest = append(dst.inRest, sh.inTree)
 		dst.totalOut += sh.totalOut
 		dst.totalIn += sh.totalIn
 	}
 }
 
-// cloneWith is Clone with the four summary-copy legs (two sketch
-// copies, two tree slab memcpys) striped across up to w workers; the
-// copied state is identical to Clone's. Used by the merger on the poll
-// hot path, where the defensive clone is the serial head of an
-// otherwise parallel poll.
-func (s *Streaming) cloneWith(w int) *Streaming {
-	if w <= 1 {
-		return s.Clone()
-	}
-	if w > 4 {
-		w = 4
-	}
-	c := &Streaming{
-		cfg:      s.cfg,
-		totalOut: s.totalOut,
-		totalIn:  s.totalIn,
-
-		mineCache:      s.mineCache,
-		mineCacheMin:   s.mineCacheMin,
-		mineCacheEpoch: s.mineCacheEpoch,
-		mineCacheOK:    s.mineCacheOK,
-		mineCacheCanon: s.mineCacheCanon,
-		fullCache:      s.fullCache,
-		fullCacheKey:   s.fullCacheKey,
-		fullCacheOK:    s.fullCacheOK,
-	}
-	runStriped(w, func(wk int) {
-		for leg := wk; leg < 4; leg += w {
-			switch leg {
-			case 0:
-				c.outAttrs = s.outAttrs.Clone()
-			case 1:
-				c.inAttrs = s.inAttrs.Clone()
-			case 2:
-				c.outTree = s.outTree.Clone()
-			case 3:
-				c.inTree = s.inTree.Clone()
-			}
-		}
-	})
-	return c
-}
-
 // MergeStreaming reconciles per-shard explainer states into one ranked
 // explanation set. With a single shard it queries the state directly
 // (no clone), so a one-shard sharded run reproduces sequential EWS
-// output exactly. With several shards it merges a clone of the first
-// input, leaving every shard state untouched.
+// output exactly. With several shards it merges into a clone of the
+// first input, leaving every shard state untouched.
 func MergeStreaming(shards []*Streaming) []core.Explanation {
 	if len(shards) > 1 {
-		owned := append([]*Streaming{shards[0].Clone()}, shards[1:]...)
+		owned := append([]*Streaming{shards[0].pollClone()}, shards[1:]...)
 		return MergeStreamingInto(owned)
 	}
 	return MergeStreamingInto(shards)
@@ -193,10 +130,10 @@ func MergeStreaming(shards []*Streaming) []core.Explanation {
 // (e.g. a poll over throwaway snapshot clones): the merge folds the
 // rest into it in place, skipping the defensive deep copy on the
 // serving hot path. shards[1:] keep their summary state (counts,
-// trees, totals) unchanged, but reading them is not concurrency-safe:
-// the flat-arena trees serve path extraction out of per-tree reusable
-// scratch, so no shard in the slice may be shared with another
-// goroutine during the call.
+// trees, totals) unchanged, and so does shards[0]'s inlier tree, but
+// reading them is not concurrency-safe: the flat-arena trees serve
+// path extraction out of per-tree reusable scratch, so no shard in the
+// slice may be shared with another goroutine during the call.
 func MergeStreamingInto(shards []*Streaming) []core.Explanation {
 	if len(shards) == 0 {
 		return nil
@@ -350,7 +287,7 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 		// Force-disabled sessions skip every incremental path; the
 		// merger still counts the full mines its polls trigger.
 		if !owned && len(shards) > 1 {
-			shards = append([]*Streaming{shards[0].cloneWith(shards[0].cfg.parallelism())}, shards[1:]...)
+			shards = append([]*Streaming{shards[0].pollClone()}, shards[1:]...)
 		}
 		exps := MergeStreamingInto(shards)
 		m.stats.Add(shards[0].stats)
@@ -409,7 +346,7 @@ func (m *PollMerger) merge(shards []*Streaming, owned bool) []core.Explanation {
 		// the retained snapshots' summary state stays pristine. (With
 		// one shard there is no fold; Explanations only refreshes
 		// dst's internal caches, which retained snapshots tolerate.)
-		dst = shards[0].cloneWith(shards[0].cfg.parallelism())
+		dst = shards[0].pollClone()
 	}
 	mergeInto(dst, shards[1:])
 	if outSame && m.mineOK {

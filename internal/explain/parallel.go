@@ -13,8 +13,8 @@ import (
 // pipeline. Ownership rules, in one place:
 //
 //   - workers never share scratch: each worker owns a cps.Counter
-//     (private query buffer), an fptree.Miner (private conditional
-//     frames), or a whole merge leg (a disjoint summary structure);
+//     (private query buffer) or an fptree.Miner (private conditional
+//     frames);
 //   - the structures being read (tree arenas, rank tables, the
 //     qualified bitmap) are frozen for the duration of a pass — the
 //     only concurrent accesses are pure reads;
@@ -78,7 +78,7 @@ type comboVerdict struct {
 // workers. The qualified-attribute prefilter, break-even cap, and
 // risk-ratio test are evaluated exactly as in the serial loop; only
 // the walks run concurrently (each worker queries the frozen inlier
-// tree through its private Counter). Verdicts are assembled in table
+// trees through its private Counter). Verdicts are assembled in table
 // order on the calling goroutine, so exps, tested, and the EarlyExits
 // tally come out identical to the serial loop's.
 func (s *Streaming) filterCombinationsParallel(tab []fptree.Itemset, w int, exps []core.Explanation, tested int) ([]core.Explanation, int) {
@@ -95,32 +95,16 @@ func (s *Streaming) filterCombinationsParallel(tab []fptree.Itemset, w int, exps
 	s.exitTally = tally
 	runStriped(w, func(wk int) {
 		c := s.counters[wk]
-		c.Retarget(s.inTree)
 		for idx := wk; idx < len(tab); idx += w {
 			is := tab[idx]
-			if len(is.Items) < 2 {
-				continue
-			}
-			ok := true
-			for _, it := range is.Items {
-				if int(it) >= len(s.qualified) || !s.qualified[it] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !s.allQualified(is.Items) {
 				continue
 			}
 			sl := &v[idx]
 			sl.keep = true
-			if s.cfg.DisableEarlyExit {
-				sl.ai = c.Support(is.Items)
-			} else {
-				sl.ai, sl.exceeded = c.SupportCapped(is.Items,
-					inlierBreakEven(is.Count, s.totalOut, s.totalIn, s.cfg.MinRiskRatio))
-				if sl.exceeded {
-					tally[wk]++
-				}
+			sl.ai, sl.exceeded = s.inlierSupport(c, is.Items, s.inlierCap(is.Count))
+			if sl.exceeded {
+				tally[wk]++
 			}
 		}
 	})

@@ -58,8 +58,8 @@ type StreamingConfig struct {
 	// measurement.
 	DisableEarlyExit bool
 	// PollParallelism is the worker count for the poll-path compute:
-	// the shard-merge legs, the FPGrowth mine, and the canonical
-	// recount passes. 0 resolves to runtime.GOMAXPROCS(0); 1 pins
+	// the FPGrowth mine and the canonical recount and inlier counting
+	// passes. 0 resolves to runtime.GOMAXPROCS(0); 1 pins
 	// today's exact serial code path. Ranked output is identical for
 	// every value — workers only split index-addressed work whose
 	// per-element arithmetic never changes (see doc.go, "Parallel poll
@@ -102,6 +102,12 @@ type Streaming struct {
 	inAttrs  *sketch.DenseAMC
 	outTree  *cps.Tree
 	inTree   *cps.Tree
+	// inRest is set only on a merged poll's explainer (see mergeInto):
+	// the inlier trees of shards 1..P-1, inTree being shard 0's. The
+	// poll path never merges inlier trees; an inlier count is the sum
+	// of per-shard support walks in shard order (inlierSupport). The
+	// trees belong to the shard snapshots and are only read.
+	inRest []*cps.Tree
 
 	totalOut float64
 	totalIn  float64
@@ -155,23 +161,36 @@ type Streaming struct {
 }
 
 // cacheKey captures every input of Explanations that can change
-// between polls: the two tree epochs cover all structural movement
+// between polls: the tree epochs cover all structural movement
 // (insert/restructure/merge), and the class totals cover sketch
 // movement — the sketches only change alongside a total or a tree
 // epoch (Consume bumps a total, Decay restructures both trees, Merge
-// bumps both epochs), so the quadruple is a sound cache key.
+// bumps both epochs), so the key is sound. A merged poll's explainer
+// counts inliers over every shard's tree, so its key carries each
+// shard's inlier epoch (restEpochs, nil on a single explainer).
 type cacheKey struct {
 	outEpoch, inEpoch uint64
 	totalOut, totalIn float64
+	restEpochs        []uint64
 }
 
 func (s *Streaming) cacheKeyNow() cacheKey {
-	return cacheKey{
+	k := cacheKey{
 		outEpoch: s.outTree.Epoch(),
 		inEpoch:  s.inTree.Epoch(),
 		totalOut: s.totalOut,
 		totalIn:  s.totalIn,
 	}
+	for _, t := range s.inRest {
+		k.restEpochs = append(k.restEpochs, t.Epoch())
+	}
+	return k
+}
+
+func (k cacheKey) equal(o cacheKey) bool {
+	return k.outEpoch == o.outEpoch && k.inEpoch == o.inEpoch &&
+		k.totalOut == o.totalOut && k.totalIn == o.totalIn &&
+		slices.Equal(k.restEpochs, o.restEpochs)
 }
 
 // CacheStats counts how Explanations calls were served; the sharded
@@ -363,7 +382,7 @@ func (s *Streaming) Explanations() []core.Explanation {
 		return nil
 	}
 	key := s.cacheKeyNow()
-	if !s.cfg.DisableCache && s.fullCacheOK && key == s.fullCacheKey {
+	if !s.cfg.DisableCache && s.fullCacheOK && key.equal(s.fullCacheKey) {
 		s.stats.FullHits++
 		// Hand out a fresh slice (callers may re-sort or decorate);
 		// the Explanation structs and their ItemIDs are shared and
@@ -414,35 +433,20 @@ func (s *Streaming) Explanations() []core.Explanation {
 	if w := s.cfg.parallelism(); w > 1 && len(tab) > 1 {
 		exps, tested = s.filterCombinationsParallel(tab, w, exps, tested)
 	} else {
+		s.ensureCounters(1)
+		c := s.counters[0]
 		for _, is := range tab {
-			if len(is.Items) < 2 {
-				continue
-			}
-			ok := true
-			for _, it := range is.Items {
-				if int(it) >= len(s.qualified) || !s.qualified[it] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !s.allQualified(is.Items) {
 				continue
 			}
 			tested++
-			var ai float64
-			if s.cfg.DisableEarlyExit {
-				ai = s.inTree.ItemsetSupport(is.Items)
-			} else {
-				var exceeded bool
-				ai, exceeded = s.inTree.ItemsetSupportCapped(is.Items,
-					inlierBreakEven(is.Count, s.totalOut, s.totalIn, s.cfg.MinRiskRatio))
-				if exceeded {
-					// Past break-even the risk ratio is decisively below
-					// MinRiskRatio no matter how much higher the true
-					// inlier count is; the filter below would reject.
-					s.stats.EarlyExits++
-					continue
-				}
+			ai, exceeded := s.inlierSupport(c, is.Items, s.inlierCap(is.Count))
+			if exceeded {
+				// Past break-even the risk ratio is decisively below
+				// MinRiskRatio no matter how much higher the true
+				// inlier count is; the filter below would reject.
+				s.stats.EarlyExits++
+				continue
 			}
 			rr := RiskRatio(is.Count, ai, s.totalOut, s.totalIn)
 			if rr < s.cfg.MinRiskRatio {
@@ -468,6 +472,52 @@ func (s *Streaming) Explanations() []core.Explanation {
 		return slices.Clone(exps)
 	}
 	return exps
+}
+
+// allQualified reports whether items is a combination (≥2 attributes)
+// of attributes that each passed the single-attribute risk-ratio
+// filter; only those are counted against the inlier side.
+func (s *Streaming) allQualified(items []int32) bool {
+	if len(items) < 2 {
+		return false
+	}
+	for _, it := range items {
+		if int(it) >= len(s.qualified) || !s.qualified[it] {
+			return false
+		}
+	}
+	return true
+}
+
+// inlierCap is the cap on an itemset's inlier walk: the break-even
+// count for outlier support ao, or +Inf with the early exit disabled
+// (a walk capped at +Inf is the plain, complete support walk).
+func (s *Streaming) inlierCap(ao float64) float64 {
+	if s.cfg.DisableEarlyExit {
+		return math.Inf(1)
+	}
+	return inlierBreakEven(ao, s.totalOut, s.totalIn, s.cfg.MinRiskRatio)
+}
+
+// inlierSupport returns the inlier count of items through c: one
+// support walk over inTree, then — on a merged poll — one over each
+// inRest tree in shard order, the running sum carried from walk to
+// walk. The sum equals the support of the shards' merged inlier tree
+// (a merge is a lossless union of weighted paths) up to float
+// summation order, and the cap bounds the running sum, so
+// exceeded=true means exactly that the sum passed cap. With a single
+// tree the result is bit-identical to one capped walk.
+func (s *Streaming) inlierSupport(c *cps.Counter, items []int32, cap float64) (float64, bool) {
+	c.Retarget(s.inTree)
+	ai, exceeded := c.SupportCapped(items, 0, cap)
+	for _, t := range s.inRest {
+		if exceeded {
+			break
+		}
+		c.Retarget(t)
+		ai, exceeded = c.SupportCapped(items, ai, cap)
+	}
+	return ai, exceeded
 }
 
 // combinationTable returns the current combination table — exactly the

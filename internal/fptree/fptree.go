@@ -420,7 +420,7 @@ func (t *Tree) ItemsetSupportCapped(items []int32, cap float64) (float64, bool) 
 		}
 	}
 	itemtree.SortByRankDesc(q, t.rank)
-	return t.arena.SupportCapped(q, t.rank, cap)
+	return t.arena.SupportCapped(q, t.rank, 0, cap)
 }
 
 // NumNodes reports the number of tree nodes (excluding the root),

@@ -61,7 +61,7 @@ type QueryConfig struct {
 	// attribute combinations stay hot).
 	DisableRebalance bool `json:"disableRebalance,omitempty"`
 	// PollParallelism is the worker count for the poll/explain path
-	// (shard merge, FPGrowth mine, canonical recounts). Default: the
+	// (FPGrowth mine, canonical recounts, inlier counting). Default: the
 	// server's GOMAXPROCS; 1 pins the serial poll path. Ranked output
 	// is identical for every value.
 	PollParallelism int `json:"pollParallelism,omitempty"`

@@ -209,10 +209,14 @@ func (a *Arena) Support(q []int32, rank []int32) float64 {
 // exceeded=true. Callers use it when any support above cap leads to
 // the same decision (e.g. risk-ratio filtering: past the break-even
 // inlier count the itemset is rejected no matter how much higher the
-// true support is), saving the remainder of the walk. When the full
-// walk completes, the returned total is bit-identical to Support's.
-func (a *Arena) SupportCapped(q []int32, rank []int32, cap float64) (total float64, exceeded bool) {
+// true support is), saving the remainder of the walk. The running
+// total starts at from, so a caller summing one query over several
+// trees carries the sum from walk to walk and the cap bounds the whole
+// sum. With from=0, a completed walk returns a total bit-identical to
+// Support's.
+func (a *Arena) SupportCapped(q []int32, rank []int32, from, cap float64) (total float64, exceeded bool) {
 	h := a.Headers[rank[q[0]]]
+	total = from
 	for n := h.Head; n != NilIdx; n = a.Nodes[n].Link {
 		need := 1
 		for p := a.Nodes[n].Parent; p != NilIdx && need < len(q); p = a.Nodes[p].Parent {

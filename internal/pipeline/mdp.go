@@ -83,8 +83,8 @@ type Config struct {
 	// either way.
 	DisableExplainEarlyExit bool
 	// PollParallelism is the worker count for the poll/explain path:
-	// the shard-merge legs, the FPGrowth mine, and the canonical
-	// recount passes all fan out across this many goroutines
+	// the FPGrowth mine and the canonical recount and inlier counting
+	// passes all fan out across this many goroutines
 	// (explain.StreamingConfig.PollParallelism). Default
 	// runtime.GOMAXPROCS(0); 1 pins the serial poll path bit-exactly.
 	// Ranked output is identical for every value — the knob buys poll

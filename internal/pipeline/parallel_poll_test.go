@@ -77,8 +77,8 @@ func TestPollBypassWhileMergeHeld(t *testing.T) {
 }
 
 // TestParallelPollHammerWithRebalance is the -race exerciser for the
-// parallel poll pipeline: PollParallelism 4 polls (striped merge legs,
-// parallel mines, parallel recounts) racing each other and live ingest
+// parallel poll pipeline: PollParallelism 4 polls (parallel mines,
+// parallel recounts and inlier counts) racing each other and live ingest
 // with rebalancing enabled, so worker goroutines run against shard
 // clones taken mid-epoch-swap. Correctness here is "no race, no torn
 // result, coherent final answer"; determinism across W is pinned by
