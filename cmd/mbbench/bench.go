@@ -322,9 +322,10 @@ func microBenchmarks() []benchResult {
 		// clone + outlier-side shard merge + FPGrowth mine + canonical
 		// recount + per-shard inlier counting, the whole pipeline the
 		// PollParallelism workers stripe. The -w1 twin runs the
-		// identical workload on the serial path; the w4/w1 ns/op ratio
-		// is the parallel speedup on machines with >= 4 cores (on fewer
-		// cores the two converge, and -compare only warns because
+		// identical workload and the same striped code with one worker
+		// on the polling goroutine; the w4/w1 ns/op ratio is the
+		// parallel speedup on machines with >= 4 cores (on fewer cores
+		// the two converge, and -compare only warns because
 		// go_max_procs won't match).
 		// Output-identity across W is pinned by the explain differential
 		// and golden tests, not here.

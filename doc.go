@@ -312,10 +312,14 @@
 // path is therefore parallel, governed by one knob
 // (pipeline.Config.PollParallelism → explain.StreamingConfig.
 // PollParallelism, default GOMAXPROCS) and one contract: ranked output
-// is reflect.DeepEqual-identical for every worker count W, and W=1
-// runs the verbatim serial code — not a unified implementation that
-// happens to use one worker — so it is bit-exact with the historical
-// path by construction.
+// is reflect.DeepEqual-identical for every worker count W. There is one
+// striped implementation of each stage; W=1 is that code run by one
+// worker on the polling goroutine, with no goroutine spawned, and W is
+// clamped to each stage's index space so tiny tables spawn no idle
+// workers. Its references are independent of W: the committed goldens,
+// the brute-force oracles in fptree.FuzzMine (which also pins every W
+// element-wise to W=1) and explain.FuzzStreamingDelta, and the
+// cache-disabled twin.
 //
 // A merged poll first reconciles the shards (explain.mergeInto), a
 // plain serial left fold in shard order. It merges only what candidate
@@ -335,11 +339,13 @@
 // trees included — agrees with it to rounding. P=1 merges nothing and
 // is bit-exact with the sequential explainer. Two stages then fan out:
 //
-//   - FPGrowth mining (fptree.Tree.MineParallelWith): top-level header
-//     items are striped across W miners, each with its own recycled
-//     frame arena; per-item results land in index-addressed slots and
-//     are concatenated in the serial loop's order, making the output
-//     element-wise identical to Mine regardless of W or scheduling.
+//   - FPGrowth mining (fptree.Tree.MineWith, behind cps.Tree.Mine):
+//     top-level header items are striped across W miners, each with
+//     its own recycled frame arena. Each worker appends to its own
+//     output slice and records where each of its items ends; the
+//     slices are stitched back in item order (at W=1 the worker's
+//     slice is the result), making the output element-wise identical
+//     regardless of W or scheduling.
 //
 //   - Counting (cps.Counter): the support passes — per-shard inlier
 //     counting for combination filtering, full-table and delta-table
@@ -353,7 +359,7 @@
 // The ownership rule underneath: workers never share mutable state —
 // each owns a private scratch object (a Miner, a Counter) plus
 // exclusive index ranges of a preallocated result slice — and the
-// spawning goroutine assembles results in serial order after all
+// spawning goroutine assembles results in index order after all
 // workers join. No atomics, no channels, no locks on the hot path;
 // allocation patterns are deterministic, so the allocs/op gates hold
 // at every W.

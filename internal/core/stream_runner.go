@@ -110,8 +110,7 @@ type ShardFailure struct {
 // non-cancellable read (a legacy Source whose Next never returns):
 // workers consume what is already queued, flush, and the run completes,
 // leaving the stuck goroutine to exit harmlessly whenever its read
-// returns, if ever. The legacy polled Stop callback is still honored
-// between batches.
+// returns, if ever.
 //
 // The ingest data plane is allocation-free in steady state: routing
 // scatters each point's payload into pooled per-shard Batch slabs (a
@@ -163,12 +162,6 @@ type StreamRunner struct {
 	// OnBatch, if non-nil, observes each shard's labeled batches
 	// (called on worker goroutines; must be safe for concurrent use).
 	OnBatch func(shard int, batch []LabeledPoint)
-	// Stop, if non-nil, is polled by each ingest goroutine between
-	// batches with the total number of points ingested so far;
-	// returning true halts execution with ErrStopped after workers
-	// drain. RequestStop is the push-based equivalent and additionally
-	// cancels in-flight NextBatch calls.
-	Stop func(pointsIngested int) bool
 	// Coordinate, when non-nil, enables periodic cross-shard
 	// reconciliation of operator state (e.g. merging per-shard score
 	// quantiles into one global classification threshold). See
@@ -711,9 +704,9 @@ func (r *StreamRunner) Run() (StreamStats, error) {
 	return stats, nil
 }
 
-// ingestPartition is one partition's ingest loop: poll the legacy Stop
-// callback, pull a batch (cancellable mid-call for context-aware
-// streams, into an engine-loaned recycled Batch for slab-native ones),
+// ingestPartition is one partition's ingest loop: pull a batch
+// (cancellable mid-call for context-aware streams, into an
+// engine-loaned recycled Batch for slab-native ones),
 // scatter each point's payload into pooled per-shard batches, and hand
 // those over the bounded channels. Every batch it touches comes from
 // and returns to the run's free list, so the steady-state loop never
@@ -755,10 +748,6 @@ func (r *StreamRunner) ingestPartition(ctx context.Context, ps PartitionStream, 
 	}()
 	for {
 		if ctx.Err() != nil {
-			return nil
-		}
-		if r.Stop != nil && r.Stop(int(r.livePoints.Load())) {
-			r.RequestStop()
 			return nil
 		}
 		var (

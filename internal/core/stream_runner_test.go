@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -140,10 +139,9 @@ func TestStreamRunnerPartitionsByAttribute(t *testing.T) {
 }
 
 // TestStreamRunnerSnapshotAndStop exercises the snapshot protocol and
-// cooperative stop concurrently with the run.
+// RequestStop concurrently with the run.
 func TestStreamRunnerSnapshotAndStop(t *testing.T) {
-	var stop atomic.Bool
-	// Unbounded source: forces termination through Stop.
+	// Unbounded source: forces termination through RequestStop.
 	src := NewFuncSource(512, func(dst []Point) int {
 		for i := range dst {
 			dst[i] = Point{Metrics: []float64{1}, Attrs: []int32{int32(i % 5)}}
@@ -160,7 +158,6 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 			return pl.Explainer.(*shardCollectExplainer).consumed
 		},
 		BatchSize: 512,
-		Stop:      func(n int) bool { return stop.Load() },
 	}
 
 	done := make(chan error, 1)
@@ -171,9 +168,11 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 		done <- err
 	}()
 
-	// Poll snapshots while the stream runs.
-	polled := 0
-	for polled < 3 {
+	// Poll snapshots while the stream runs, until they show consumed
+	// points: RequestStop cancels in-flight sends, so a stop issued
+	// before the first delivery would end the run empty.
+	polled, consumed := 0, 0
+	for polled < 3 || consumed == 0 {
 		snaps, err := sr.Snapshot(nil)
 		if errors.Is(err, ErrNotStreaming) {
 			continue // run not yet started
@@ -185,8 +184,9 @@ func TestStreamRunnerSnapshotAndStop(t *testing.T) {
 			t.Fatalf("snapshot count %d", len(snaps))
 		}
 		polled++
+		consumed = snaps[0].(int) + snaps[1].(int)
 	}
-	stop.Store(true)
+	sr.RequestStop()
 	if err := <-done; !errors.Is(err, ErrStopped) {
 		t.Fatalf("want ErrStopped, got %v", err)
 	}

@@ -73,16 +73,12 @@ type Tree struct {
 	freqCounts   []float64
 
 	// Reusable mining state: Mine replays the tree's paths into
-	// mineTree (rebuilt in place) and runs FPGrowth through miner's
-	// per-depth conditional frames, so steady-state mines allocate only
-	// their output itemsets. Clone deliberately does not copy these —
-	// they are scratch, not state.
+	// mineTree (rebuilt in place) and runs FPGrowth through the
+	// per-worker miners' conditional frames, so steady-state mines
+	// allocate only their output itemsets. Clone deliberately does not
+	// copy these — they are scratch, not state.
 	mineTree fptree.Tree
-	miner    fptree.Miner
-	// minerPool holds the per-worker miners of MineParallel (index 0
-	// is `miner` itself so W=1 reuses the serial frames). Scratch, not
-	// state: Clone does not copy it.
-	minerPool []*fptree.Miner
+	miners   []*fptree.Miner
 }
 
 // Journal capacity caps: a journal that records more than
@@ -416,43 +412,26 @@ func (t *Tree) Restructure(items []int32, counts []float64, retain float64) {
 
 // Mine replays the tree's weighted paths through an FP-tree and runs
 // FPGrowth, returning itemsets with decayed count >= minCount. The
-// FP-tree and the conditional trees of the FPGrowth recursion live in
-// per-tree reusable arenas, so steady-state mines allocate only the
-// returned itemsets. Mining is deterministic: two structurally
-// identical trees mine bit-identical results.
-func (t *Tree) Mine(minCount float64, maxItems int) []fptree.Itemset {
+// recursion is striped over up to `workers` goroutines, never more
+// than the FP-tree has items (fptree.Tree.MineWith; one worker mines
+// on the calling goroutine). The path replay and FP-tree build stay
+// serial — they are a small fraction of mine cost. The FP-tree and
+// the per-worker miners' conditional trees live in per-tree reusable
+// arenas, so steady-state mines allocate only the returned itemsets.
+// Mining is deterministic: two structurally identical trees mine
+// bit-identical results, for every worker count.
+func (t *Tree) Mine(minCount float64, maxItems int, workers int) []fptree.Itemset {
 	t.extractPaths()
 	t.pathSlices = t.pathSlices[:0]
 	for i := 0; i < t.numPaths(); i++ {
 		t.pathSlices = append(t.pathSlices, t.path(i))
 	}
 	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	return t.mineTree.MineWith(&t.miner, minCount, maxItems)
-}
-
-// MineParallel is Mine with the FPGrowth recursion fanned out over up
-// to `workers` goroutines (fptree.MineParallelWith). The path replay
-// and FP-tree build stay serial — they are a small fraction of mine
-// cost — and the per-worker miners are pooled on the tree, so
-// steady-state parallel mines allocate only the output itemsets plus
-// the per-item result slots. workers <= 1 is exactly Mine.
-func (t *Tree) MineParallel(minCount float64, maxItems int, workers int) []fptree.Itemset {
-	if workers <= 1 {
-		return t.Mine(minCount, maxItems)
+	workers = max(min(workers, len(t.mineTree.Items())), 1)
+	for len(t.miners) < workers {
+		t.miners = append(t.miners, &fptree.Miner{})
 	}
-	t.extractPaths()
-	t.pathSlices = t.pathSlices[:0]
-	for i := 0; i < t.numPaths(); i++ {
-		t.pathSlices = append(t.pathSlices, t.path(i))
-	}
-	fptree.BuildInto(&t.mineTree, t.pathSlices, t.pathW, minCount)
-	if len(t.minerPool) == 0 {
-		t.minerPool = append(t.minerPool, &t.miner)
-	}
-	for len(t.minerPool) < workers {
-		t.minerPool = append(t.minerPool, &fptree.Miner{})
-	}
-	return t.mineTree.MineParallelWith(t.minerPool[:workers], minCount, maxItems)
+	return t.mineTree.MineWith(t.miners[:workers], minCount, maxItems)
 }
 
 // ItemsetSupport returns the decayed weight of transactions containing

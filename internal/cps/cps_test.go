@@ -59,7 +59,7 @@ func TestMCPSMatchesFPTreeWithoutDecay(t *testing.T) {
 			tree.Insert(tx, 1)
 		}
 		got := map[string]float64{}
-		for _, is := range tree.Mine(minCount, 0) {
+		for _, is := range tree.Mine(minCount, 0, 1) {
 			got[key(is.Items)] = is.Count
 		}
 		want := map[string]float64{}
@@ -86,13 +86,13 @@ func TestRestructurePreservesCounts(t *testing.T) {
 		}
 	}
 	before := map[string]float64{}
-	for _, is := range tree.Mine(1, 0) {
+	for _, is := range tree.Mine(1, 0, 1) {
 		before[key(is.Items)] = is.Count
 	}
 	items, cs := flat(counts)
 	tree.Restructure(items, cs, 1)
 	after := map[string]float64{}
-	for _, is := range tree.Mine(1, 0) {
+	for _, is := range tree.Mine(1, 0, 1) {
 		after[key(is.Items)] = is.Count
 	}
 	for k, v := range before {
@@ -181,12 +181,49 @@ func TestRestructureMidStreamStaysExact(t *testing.T) {
 		want[key(is.Items)] = is.Count
 	}
 	got := map[string]float64{}
-	for _, is := range tree.Mine(1, 0) {
+	for _, is := range tree.Mine(1, 0, 1) {
 		got[key(is.Items)] = is.Count
 	}
 	for k, v := range want {
 		if math.Abs(got[k]-v) > 1e-9 {
 			t.Fatalf("itemset %s: got %v want %v", k, got[k], v)
+		}
+	}
+}
+
+// TestMineWorkerCountInvariant: the striped mine is element-wise
+// identical, order included, at every worker count — on the random
+// trees TestMCPSMatchesFPTreeWithoutDecay checks against a batch
+// FP-tree, and on a decayed, restructured tree with fractional counts.
+func TestMineWorkerCountInvariant(t *testing.T) {
+	var trees []*Tree
+	rng := rand.New(rand.NewPCG(21, 22))
+	for trial := 0; trial < 40; trial++ {
+		tree := NewMCPS()
+		for _, tx := range randomTxs(rng, 3+rng.IntN(25), 7, 5) {
+			tree.Insert(tx, 1)
+		}
+		trees = append(trees, tree)
+	}
+	decayed := NewMCPS()
+	counts := map[int32]float64{}
+	for _, tx := range randomTxs(rng, 60, 8, 5) {
+		decayed.Insert(tx, 1)
+		for _, it := range tx {
+			counts[it]++
+		}
+	}
+	items, cs := flat(counts)
+	decayed.Restructure(items, cs, 0.7)
+	trees = append(trees, decayed)
+	for i, tree := range trees {
+		for _, minCount := range []float64{0.5, 1, 2} {
+			want := tree.Mine(minCount, 0, 1)
+			for _, w := range []int{2, 4} {
+				if got := tree.Mine(minCount, 0, w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("tree %d min %v: W=%d mined %v, W=1 %v", i, minCount, w, got, want)
+				}
+			}
 		}
 	}
 }
@@ -260,7 +297,7 @@ func TestMergeEqualsUnionInsert(t *testing.T) {
 	merged := a.Clone()
 	merged.Merge(b)
 
-	for _, want := range union.Mine(1, 0) {
+	for _, want := range union.Mine(1, 0, 1) {
 		got := merged.ItemsetSupport(want.Items)
 		if math.Abs(got-want.Count) > 1e-6 {
 			t.Errorf("itemset %v: merged support %v, union support %v", want.Items, got, want.Count)
@@ -269,7 +306,7 @@ func TestMergeEqualsUnionInsert(t *testing.T) {
 	// And the reverse order agrees too.
 	merged2 := b.Clone()
 	merged2.Merge(a)
-	for _, want := range union.Mine(1, 0) {
+	for _, want := range union.Mine(1, 0, 1) {
 		got := merged2.ItemsetSupport(want.Items)
 		if math.Abs(got-want.Count) > 1e-6 {
 			t.Errorf("itemset %v: reverse-merged support %v, union support %v", want.Items, got, want.Count)
@@ -288,13 +325,13 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	c := orig.Clone()
 	before := map[string]float64{}
-	for _, is := range c.Mine(1, 0) {
+	for _, is := range c.Mine(1, 0, 1) {
 		before[key(is.Items)] = is.Count
 	}
 	orig.Insert([]int32{0, 1, 2}, 50)
 	orig.Restructure(nil, nil, 0.5)
 	after := map[string]float64{}
-	for _, is := range c.Mine(1, 0) {
+	for _, is := range c.Mine(1, 0, 1) {
 		after[key(is.Items)] = is.Count
 	}
 	if !reflect.DeepEqual(before, after) {
@@ -413,7 +450,7 @@ func TestEpochStamps(t *testing.T) {
 	}
 	// Queries must not bump: equal epochs must keep implying equal
 	// structure across reads.
-	tree.Mine(0.1, 0)
+	tree.Mine(0.1, 0, 1)
 	tree.ItemsetSupport([]int32{1})
 	if tree.Epoch() != e3 {
 		t.Fatalf("read-only query bumped epoch: %d -> %d", e3, tree.Epoch())
@@ -431,12 +468,12 @@ func TestMineSteadyStateAllocationBounded(t *testing.T) {
 	for _, tx := range randomTxs(rng, 400, 12, 6) {
 		tree.Insert(tx, 1)
 	}
-	n := len(tree.Mine(2, 0)) // warm the arenas
+	n := len(tree.Mine(2, 0, 1)) // warm the arenas
 	if n == 0 {
 		t.Fatal("workload mined nothing")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		tree.Mine(2, 0)
+		tree.Mine(2, 0, 1)
 	})
 	// One allocation per itemset's Items slice plus O(log n) result
 	// slice growth and a conditional-arena growth straggler or two.

@@ -200,7 +200,7 @@ func FuzzTreeOps(f *testing.F) {
 				i++
 				mines++
 				minCount := float64(1+int(data[i])%4) * 0.5
-				mined := tree.Mine(minCount, 0)
+				mined := tree.Mine(minCount, 0, 1)
 				got := map[string]float64{}
 				for _, is := range mined {
 					got[key(is.Items)] = is.Count

@@ -109,11 +109,12 @@ func genDiffBatch(rng *rand.Rand) []core.LabeledPoint {
 }
 
 // diffParallelisms are the PollParallelism values every differential
-// replay runs side by side: W=1 is the serial reference path, W=2 and
-// W=4 exercise the striped mine, recount and inlier-count workers.
-// Every poll must be reflect.DeepEqual-identical across all of them
-// (and to the cache-disabled reference), pinning the parallel
-// pipeline's determinism contract.
+// replay runs side by side: W=1 runs the striped mine, recount and
+// inlier-count passes with one worker on the polling goroutine, W=2
+// and W=4 with real concurrent workers. Every poll must be
+// reflect.DeepEqual-identical across all of them (and to the
+// cache-disabled reference), pinning the poll pipeline's determinism
+// contract.
 var diffParallelisms = []int{1, 2, 4}
 
 // runDiffSequential replays ops against uncached W=1 reference plus

@@ -213,12 +213,12 @@ func runStreamScript(t *testing.T, data []byte) CacheStats {
 	plainCfg := fuzzCfg
 	plainCfg.DisableCache = true
 	plainCfg.PollParallelism = 1
-	serialCfg := fuzzCfg
-	serialCfg.PollParallelism = 1
-	s, plain := NewStreaming(serialCfg), NewStreaming(plainCfg)
+	w1Cfg := fuzzCfg
+	w1Cfg.PollParallelism = 1
+	s, plain := NewStreaming(w1Cfg), NewStreaming(plainCfg)
 	// Parallel twins: same cached configuration at W=2 and W=4. The
-	// striped mine/recount workers must reproduce the serial
-	// ranked output bit-for-bit at every poll.
+	// striped mine/recount workers must reproduce the W=1 ranked
+	// output bit-for-bit at every poll.
 	var twins []*Streaming
 	for _, w := range []int{2, 4} {
 		wcfg := fuzzCfg

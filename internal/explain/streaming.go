@@ -59,9 +59,9 @@ type StreamingConfig struct {
 	DisableEarlyExit bool
 	// PollParallelism is the worker count for the poll-path compute:
 	// the FPGrowth mine and the canonical recount and inlier counting
-	// passes. 0 resolves to runtime.GOMAXPROCS(0); 1 pins
-	// today's exact serial code path. Ranked output is identical for
-	// every value — workers only split index-addressed work whose
+	// passes. 0 resolves to runtime.GOMAXPROCS(0); 1 runs every pass
+	// on the polling goroutine. Ranked output is identical for every
+	// value — workers only split index-addressed work whose
 	// per-element arithmetic never changes (see doc.go, "Parallel poll
 	// pipeline").
 	PollParallelism int
@@ -151,13 +151,16 @@ type Streaming struct {
 	stagedPaths [][]int32
 	stagedOK    bool
 
-	// Parallel poll scratch (PollParallelism > 1 only): per-worker
-	// tree counters with private query buffers, the verdict slots of
-	// the striped combination-filter pass, and per-worker early-exit
-	// tallies. Scratch, not state: Clone does not copy it.
+	// Poll-pass scratch: per-worker tree counters with private query
+	// buffers, the verdict slots of the striped combination-filter
+	// pass, per-worker early-exit tallies, and the recount queries and
+	// their support slots of the table builds. Scratch, not state:
+	// Clone does not copy it.
 	counters  []*cps.Counter
 	verdicts  []comboVerdict
 	exitTally []int64
+	queries   [][]int32
+	supports  []float64
 }
 
 // cacheKey captures every input of Explanations that can change
@@ -425,44 +428,9 @@ func (s *Streaming) Explanations() []core.Explanation {
 
 	// Multi-attribute combinations: obtain the current table — every
 	// itemset of ≥2 attributes with canonical support ≥ minCount —
-	// then filter against the inlier side. With PollParallelism > 1
-	// the inlier walks run striped across workers; per-itemset walks
-	// are independent given private query scratch, so the verdicts —
-	// and the assembled output — are bit-identical to the serial loop.
+	// then filter against the inlier side.
 	tab := s.combinationTable(key.outEpoch, minCount, staged, stagedTab, stagedMin, stagedPaths)
-	if w := s.cfg.parallelism(); w > 1 && len(tab) > 1 {
-		exps, tested = s.filterCombinationsParallel(tab, w, exps, tested)
-	} else {
-		s.ensureCounters(1)
-		c := s.counters[0]
-		for _, is := range tab {
-			if !s.allQualified(is.Items) {
-				continue
-			}
-			tested++
-			ai, exceeded := s.inlierSupport(c, is.Items, s.inlierCap(is.Count))
-			if exceeded {
-				// Past break-even the risk ratio is decisively below
-				// MinRiskRatio no matter how much higher the true
-				// inlier count is; the filter below would reject.
-				s.stats.EarlyExits++
-				continue
-			}
-			rr := RiskRatio(is.Count, ai, s.totalOut, s.totalIn)
-			if rr < s.cfg.MinRiskRatio {
-				continue
-			}
-			exps = append(exps, core.Explanation{
-				ItemIDs:       is.Items,
-				Support:       is.Count / s.totalOut,
-				RiskRatio:     rr,
-				OutlierCount:  is.Count,
-				InlierCount:   ai,
-				TotalOutliers: s.totalOut,
-				TotalInliers:  s.totalIn,
-			})
-		}
-	}
+	exps, tested = s.filterCombinations(tab, exps, tested)
 	attachCIs(exps, s.cfg.Confidence, s.cfg.Bonferroni, tested)
 	Rank(exps)
 	if !s.cfg.DisableCache {
@@ -594,43 +562,19 @@ func (s *Streaming) storeTable(tab []fptree.Itemset, minCount float64, outEpoch 
 // between FPGrowth's accumulation order and the canonical counting
 // walk can never hide a qualifying candidate from discovery.
 func (s *Streaming) fullTable(minCount float64) []fptree.Itemset {
-	w := s.cfg.parallelism()
-	if w <= 1 {
-		mined := s.outTree.Mine(minCount*(1-1e-6), s.cfg.MaxItems)
-		tab := make([]fptree.Itemset, 0, len(mined))
-		for _, is := range mined {
-			if len(is.Items) < 2 {
-				continue // singles are covered by the sketches
-			}
-			if ao := s.outTree.ItemsetSupport(is.Items); ao >= minCount {
-				tab = append(tab, fptree.Itemset{Items: is.Items, Count: ao})
-			}
+	mined := s.outTree.Mine(minCount*(1-1e-6), s.cfg.MaxItems, s.cfg.parallelism())
+	qs := slices.Grow(s.queries[:0], len(mined))
+	for _, is := range mined {
+		if len(is.Items) >= 2 { // singles are covered by the sketches
+			qs = append(qs, is.Items)
 		}
-		return tab
 	}
-	// Parallel path: fan the FPGrowth recursion over w workers
-	// (element-wise identical output), then recount striped. Per-slot
-	// counts are assembled in mined order, so the table matches the
-	// serial build entry for entry.
-	mined := s.outTree.MineParallel(minCount*(1-1e-6), s.cfg.MaxItems, w)
-	counts := make([]float64, len(mined))
-	s.ensureCounters(w)
-	runStriped(w, func(wk int) {
-		c := s.counters[wk]
-		c.Retarget(s.outTree)
-		for idx := wk; idx < len(mined); idx += w {
-			if len(mined[idx].Items) >= 2 {
-				counts[idx] = c.Support(mined[idx].Items)
-			}
-		}
-	})
-	tab := make([]fptree.Itemset, 0, len(mined))
-	for i, is := range mined {
-		if len(is.Items) < 2 {
-			continue
-		}
+	s.queries = qs
+	counts := s.outlierSupports(qs)
+	tab := make([]fptree.Itemset, 0, len(qs))
+	for i, items := range qs {
 		if counts[i] >= minCount {
-			tab = append(tab, fptree.Itemset{Items: is.Items, Count: counts[i]})
+			tab = append(tab, fptree.Itemset{Items: items, Count: counts[i]})
 		}
 	}
 	return tab
@@ -700,77 +644,36 @@ func (s *Streaming) deltaTable(base []fptree.Itemset, paths [][]int32, minCount 
 			}
 		}
 	}
-	tab = make([]fptree.Itemset, 0, len(base)+len(cand))
-	if w := s.cfg.parallelism(); w > 1 && len(base)+len(cand) > 1 {
-		// Parallel recount: a serial mark phase decides per-entry
-		// actions (map mutation stays single-threaded), the targeted
-		// support walks run striped with private scratch, and the
-		// assembly re-reads the slots in the serial loops' order — so
-		// the table is identical to the serial path's, entry for entry.
-		needs := make([]bool, len(base))
-		for i, is := range base {
-			k := itemKey(is.Items)
-			if _, touched := cand[k]; touched {
-				delete(cand, k) // recounted here, not again below
-				needs[i] = true
-			} else if !keepUntouched {
-				needs[i] = true
-			}
-		}
-		candList := make([][]int32, 0, len(cand))
-		for _, items := range cand {
-			candList = append(candList, items)
-		}
-		counts := make([]float64, len(base)+len(candList))
-		s.ensureCounters(w)
-		runStriped(w, func(wk int) {
-			c := s.counters[wk]
-			c.Retarget(s.outTree)
-			for idx := wk; idx < len(counts); idx += w {
-				if idx < len(base) {
-					if needs[idx] {
-						counts[idx] = c.Support(base[idx].Items)
-					}
-				} else {
-					counts[idx] = c.Support(candList[idx-len(base)])
-				}
-			}
-		})
-		for i, is := range base {
-			if !needs[i] {
-				if is.Count >= minCount {
-					tab = append(tab, is)
-				}
-				continue
-			}
-			if counts[i] >= minCount {
-				tab = append(tab, fptree.Itemset{Items: is.Items, Count: counts[i]})
-			}
-		}
-		for j, items := range candList {
-			if ao := counts[len(base)+j]; ao >= minCount {
-				tab = append(tab, fptree.Itemset{Items: items, Count: ao})
-			}
-		}
-		return tab, true
-	}
+	// A serial mark phase decides per-entry actions (map mutation stays
+	// single-threaded): base entries to recount get their items as a
+	// query, untouched ones a nil query. Then the targeted support
+	// walks run striped and the table is assembled in query order.
+	qs := slices.Grow(s.queries[:0], len(base)+len(cand))
 	for _, is := range base {
 		k := itemKey(is.Items)
-		if _, touched := cand[k]; touched {
+		_, touched := cand[k]
+		if touched {
 			delete(cand, k) // recounted here, not again below
-		} else if keepUntouched {
-			if is.Count >= minCount {
-				tab = append(tab, is)
-			}
-			continue
 		}
-		if ao := s.outTree.ItemsetSupport(is.Items); ao >= minCount {
-			tab = append(tab, fptree.Itemset{Items: is.Items, Count: ao})
+		if touched || !keepUntouched {
+			qs = append(qs, is.Items)
+		} else {
+			qs = append(qs, nil)
 		}
 	}
 	for _, items := range cand {
-		if ao := s.outTree.ItemsetSupport(items); ao >= minCount {
-			tab = append(tab, fptree.Itemset{Items: items, Count: ao})
+		qs = append(qs, items)
+	}
+	s.queries = qs
+	counts := s.outlierSupports(qs)
+	tab = make([]fptree.Itemset, 0, len(qs))
+	for i, items := range qs {
+		if items == nil {
+			if base[i].Count >= minCount {
+				tab = append(tab, base[i])
+			}
+		} else if counts[i] >= minCount {
+			tab = append(tab, fptree.Itemset{Items: items, Count: counts[i]})
 		}
 	}
 	return tab, true

@@ -15,10 +15,11 @@
 // count, never to the global id universe.
 //
 // Trees and miners are reusable: BuildInto rebuilds a tree in place on
-// its previous slabs, and MineWith threads a Miner whose per-depth
+// its previous slabs, and MineWith threads Miners whose per-depth
 // conditional-tree frames recycle their arenas across calls, so a
 // steady-state mine allocates only its output itemsets. A Tree or
-// Miner is not safe for concurrent use.
+// Miner is not safe for concurrent use; MineWith's workers only read
+// the tree and each owns one Miner.
 package fptree
 
 import (
@@ -58,10 +59,14 @@ type Tree struct {
 
 // Miner owns the conditional FP-trees built during mining, one
 // reusable frame per recursion depth, so repeated mines recycle their
-// arena slabs instead of rebuilding them from the allocator. The
+// arena slabs instead of rebuilding them from the allocator. It also
+// holds one worker's share of a MineWith pass: the itemsets it mined
+// and the end offset in out of each top-level item it handled. The
 // zero value is ready to use.
 type Miner struct {
 	frames []*Tree
+	out    []Itemset
+	ends   []int
 }
 
 // frame returns the reusable conditional tree for recursion depth d.
@@ -207,126 +212,108 @@ func (t *Tree) Items() []int32 { return t.order }
 // minCount. maxItems, when positive, bounds the itemset size.
 // The output includes singleton itemsets.
 func (t *Tree) Mine(minCount float64, maxItems int) []Itemset {
-	var m Miner
-	return t.MineWith(&m, minCount, maxItems)
+	return t.MineWith([]*Miner{{}}, minCount, maxItems)
 }
 
-// MineWith is Mine with a caller-owned Miner: the conditional trees
-// built during the FPGrowth recursion reuse the miner's per-depth
-// arena frames, so repeated mines (the streaming explainer's poll
-// path) allocate only the returned itemsets.
-func (t *Tree) MineWith(m *Miner, minCount float64, maxItems int) []Itemset {
-	var out []Itemset
-	t.mine(m, 0, minCount, maxItems, nil, &out)
-	// Canonicalize item order within each set. slices.Sort keeps the
-	// per-itemset cost allocation-free (a sort.Slice closure would
-	// allocate once per mined set).
-	for i := range out {
-		slices.Sort(out[i].Items)
-	}
-	return out
-}
-
-// MineParallelWith mines with up to len(miners) concurrent workers,
-// each owning one Miner (its private conditional-tree frames and
-// scratch). The top-level header items are striped across workers —
-// every FPGrowth pattern ends in exactly one top-level item, so the
-// per-item recursions are independent given read-only access to this
-// tree (ChainCount, conditionalInto, and the prebuilt rank->id table
-// never mutate the parent during mining). Per-item outputs land in
-// index-addressed slots and are concatenated in the serial loop's
-// item order, so the returned slice is element-wise identical to
-// MineWith's regardless of worker count.
-func (t *Tree) MineParallelWith(miners []*Miner, minCount float64, maxItems int) []Itemset {
+// MineWith is Mine with caller-owned Miners, one per worker (at least
+// one): each owns its conditional-tree frames, so repeated mines (the
+// streaming explainer's poll path) allocate only the returned
+// itemsets. The top-level header items are striped across up to
+// len(miners) workers — every FPGrowth pattern ends in exactly one
+// top-level item, so the per-item recursions are independent given
+// read-only access to this tree (ChainCount, conditionalInto, and the
+// prebuilt rank->id table never mutate the parent during mining).
+// Worker 0 runs on the calling goroutine; the rest get one goroutine
+// each. The workers' outputs are stitched back in item order, so the
+// result is element-wise identical for every worker count.
+func (t *Tree) MineWith(miners []*Miner, minCount float64, maxItems int) []Itemset {
 	n := len(t.order)
-	w := len(miners)
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		if len(miners) == 0 {
-			var m Miner
-			return t.MineWith(&m, minCount, maxItems)
-		}
-		return t.MineWith(miners[0], minCount, maxItems)
+	w := min(len(miners), n)
+	if w == 0 {
+		return nil
 	}
 	// Materialize the shared rank->id table before workers read it
 	// concurrently; it is immutable for the rest of this build.
 	t.idByRank()
-	perItem := make([][]Itemset, n)
-	work := func(wk int) {
-		m := miners[wk]
-		for i := n - 1 - wk; i >= 0; i -= w {
-			t.mineTop(m, int32(i), minCount, maxItems, &perItem[i])
-		}
-	}
 	var wg sync.WaitGroup
 	wg.Add(w - 1)
 	for wk := 1; wk < w; wk++ {
 		go func(wk int) {
 			defer wg.Done()
-			work(wk)
+			t.mineStripe(miners[wk], wk, w, minCount, maxItems)
 		}(wk)
 	}
-	work(0)
+	t.mineStripe(miners[0], 0, w, minCount, maxItems)
 	wg.Wait()
+	if w == 1 {
+		return miners[0].take()
+	}
 	total := 0
-	for _, s := range perItem {
-		total += len(s)
+	for _, m := range miners[:w] {
+		total += len(m.out)
 	}
 	out := make([]Itemset, 0, total)
-	for i := n - 1; i >= 0; i-- {
-		out = append(out, perItem[i]...)
+	// Item j of the descending walk (rank n-1-j) was worker j%w's
+	// (j/w)-th item.
+	for j := 0; j < n; j++ {
+		m, k := miners[j%w], j/w
+		lo := 0
+		if k > 0 {
+			lo = m.ends[k-1]
+		}
+		out = append(out, m.out[lo:m.ends[k]]...)
+	}
+	for _, m := range miners[:w] {
+		m.take()
 	}
 	return out
 }
 
-// mineTop runs one iteration of the serial mine loop — all patterns
-// ending in the top-level item at rank i — into out, with each
-// itemset canonically sorted. Safe to call concurrently for distinct
-// i with distinct miners: it only reads the parent tree.
-func (t *Tree) mineTop(m *Miner, i int32, minCount float64, maxItems int, out *[]Itemset) {
+// mineStripe is worker wk of w: it mines the top-level items at ranks
+// n-1-wk, n-1-wk-w, ... (least frequent first, like the recursion)
+// into m.out, recording in m.ends where each item's patterns end, and
+// canonicalizes item order within each set. slices.Sort keeps the
+// per-itemset cost allocation-free (a sort.Slice closure would
+// allocate once per mined set).
+func (t *Tree) mineStripe(m *Miner, wk, w int, minCount float64, maxItems int) {
+	m.out, m.ends = nil, slices.Grow(m.ends[:0], len(t.order)/w+1)
+	for i := len(t.order) - 1 - wk; i >= 0; i -= w {
+		t.mineItem(m, 0, int32(i), minCount, maxItems, nil, &m.out)
+		m.ends = append(m.ends, len(m.out))
+	}
+	for j := range m.out {
+		slices.Sort(m.out[j].Items)
+	}
+}
+
+// take hands over the miner's output slice without retaining it.
+func (m *Miner) take() []Itemset {
+	out := m.out
+	m.out = nil
+	return out
+}
+
+// mineItem emits the pattern of the item at rank i extended by suffix,
+// then recursively grows it through the items of its conditional tree
+// (built in the miner's frame for this depth), least frequent first.
+// suffix carries global ids. Safe to call concurrently for distinct
+// top-level items with distinct miners: it only reads this tree.
+func (t *Tree) mineItem(m *Miner, depth int, i int32, minCount float64, maxItems int, suffix []int32, out *[]Itemset) {
 	total := t.arena.ChainCount(i)
 	if total < minCount {
 		return
 	}
-	items := make([]int32, 0, 1)
+	items := make([]int32, 0, len(suffix)+1)
 	items = append(items, t.idOf(t.order[i]))
+	items = append(items, suffix...)
 	*out = append(*out, Itemset{Items: items, Count: total})
-	if maxItems <= 0 || len(items) < maxItems {
-		cond := m.frame(0)
-		t.conditionalInto(cond, i, minCount)
-		if len(cond.order) > 0 {
-			cond.mine(m, 1, minCount, maxItems, items, out)
-		}
+	if maxItems > 0 && len(items) >= maxItems {
+		return
 	}
-	for j := range *out {
-		slices.Sort((*out)[j].Items)
-	}
-}
-
-// mine recursively grows patterns ending in each item, least frequent
-// first. suffix carries global ids; depth indexes the miner's
-// conditional-tree frames.
-func (t *Tree) mine(m *Miner, depth int, minCount float64, maxItems int, suffix []int32, out *[]Itemset) {
-	for i := len(t.order) - 1; i >= 0; i-- {
-		tok := t.order[i]
-		total := t.arena.ChainCount(int32(i))
-		if total < minCount {
-			continue
-		}
-		items := make([]int32, 0, len(suffix)+1)
-		items = append(items, t.idOf(tok))
-		items = append(items, suffix...)
-		*out = append(*out, Itemset{Items: items, Count: total})
-		if maxItems > 0 && len(items) >= maxItems {
-			continue
-		}
-		cond := m.frame(depth)
-		t.conditionalInto(cond, int32(i), minCount)
-		if len(cond.order) > 0 {
-			cond.mine(m, depth+1, minCount, maxItems, items, out)
-		}
+	cond := m.frame(depth)
+	t.conditionalInto(cond, i, minCount)
+	for j := len(cond.order) - 1; j >= 0; j-- {
+		cond.mineItem(m, depth+1, int32(j), minCount, maxItems, items, out)
 	}
 }
 

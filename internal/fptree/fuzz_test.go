@@ -48,8 +48,11 @@ func decodeFuzzTxs(data []byte) ([][]int32, float64) {
 }
 
 // FuzzMine drives Build+MineWith against the exhaustive brute-force
-// oracle, twice through one Miner so the reusable conditional-tree
-// frames are proven not to leak state between mines.
+// oracle at 1, 2 and 3 workers, all drawing on one reused Miner set
+// so the reusable conditional-tree frames and per-worker outputs are
+// proven not to leak state between mines. Every worker count must
+// match the oracle and be element-wise identical to the one-worker
+// mine, order included.
 func FuzzMine(f *testing.F) {
 	f.Add([]byte{0x01, 1, 2, 3, 0xFF, 1, 2, 0xFF, 1, 3, 0xFF, 1, 0xFF, 2, 3})
 	f.Add([]byte{0x00, 0, 1, 2, 3, 4, 5, 6, 0xFF, 0, 1, 2, 0xFF, 4, 5, 6})
@@ -61,24 +64,29 @@ func FuzzMine(f *testing.F) {
 		}
 		want := bruteForce(txs, nil, minCount, 0)
 		tree := Build(txs, nil, minCount)
-		var m Miner
-		for pass := 0; pass < 2; pass++ {
-			got := map[string]float64{}
-			for _, is := range tree.MineWith(&m, minCount, 0) {
-				got[key(is.Items)] = is.Count
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pass %d: mined %v != brute %v (txs %v, min %v)", pass, got, want, txs, minCount)
+		miners := []*Miner{{}, {}, {}}
+		check := func(stage string) {
+			var w1 []Itemset
+			for w := 1; w <= len(miners); w++ {
+				mined := tree.MineWith(miners[:w], minCount, 0)
+				got := map[string]float64{}
+				for _, is := range mined {
+					got[key(is.Items)] = is.Count
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s W=%d: mined %v != brute %v (txs %v, min %v)", stage, w, got, want, txs, minCount)
+				}
+				if w == 1 {
+					w1 = mined
+				} else if !reflect.DeepEqual(mined, w1) {
+					t.Fatalf("%s W=%d: %v != W=1 %v (txs %v, min %v)", stage, w, mined, w1, txs, minCount)
+				}
 			}
 		}
+		check("pass 0")
+		check("pass 1")
 		// Rebuilding into the same tree must behave like a fresh build.
 		BuildInto(tree, txs, nil, minCount)
-		got := map[string]float64{}
-		for _, is := range tree.MineWith(&m, minCount, 0) {
-			got[key(is.Items)] = is.Count
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rebuilt tree mined %v != brute %v (txs %v, min %v)", got, want, txs, minCount)
-		}
+		check("rebuilt")
 	})
 }

@@ -62,8 +62,8 @@ type QueryConfig struct {
 	DisableRebalance bool `json:"disableRebalance,omitempty"`
 	// PollParallelism is the worker count for the poll/explain path
 	// (FPGrowth mine, canonical recounts, inlier counting). Default: the
-	// server's GOMAXPROCS; 1 pins the serial poll path. Ranked output
-	// is identical for every value.
+	// server's GOMAXPROCS; 1 runs every poll pass on the polling
+	// goroutine. Ranked output is identical for every value.
 	PollParallelism int `json:"pollParallelism,omitempty"`
 	// Seed fixes all randomized components.
 	Seed uint64 `json:"seed,omitempty"`

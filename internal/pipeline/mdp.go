@@ -8,8 +8,6 @@
 package pipeline
 
 import (
-	"runtime"
-
 	"macrobase/internal/classify"
 	"macrobase/internal/core"
 	"macrobase/internal/explain"
@@ -67,26 +65,12 @@ type Config struct {
 	// Trainer, when non-nil, replaces the default MAD/MCD model
 	// selection.
 	Trainer classify.Trainer
-	// DisableExplainCache forces every explanation poll down the full
-	// recompute path (no cached ranked output, no mined-table reuse).
-	// Output is identical either way; this exists for benchmarking the
-	// cache and for paranoid deployments.
-	DisableExplainCache bool
-	// DisableDeltaMine forces every outlier-side change down the full
-	// FPGrowth re-mine instead of the changed-path delta update
-	// (explain.StreamingConfig.DisableDeltaMine). Output is identical
-	// either way; this exists for benchmarking the delta path.
-	DisableDeltaMine bool
-	// DisableExplainEarlyExit disables the break-even early exit on
-	// inlier support counting during explanation ranking
-	// (explain.StreamingConfig.DisableEarlyExit). Output is identical
-	// either way.
-	DisableExplainEarlyExit bool
 	// PollParallelism is the worker count for the poll/explain path:
 	// the FPGrowth mine and the canonical recount and inlier counting
 	// passes all fan out across this many goroutines
-	// (explain.StreamingConfig.PollParallelism). Default
-	// runtime.GOMAXPROCS(0); 1 pins the serial poll path bit-exactly.
+	// (explain.StreamingConfig.PollParallelism). 0 resolves to
+	// runtime.GOMAXPROCS(0) at each poll; 1 runs every pass on the
+	// polling goroutine.
 	// Ranked output is identical for every value — the knob buys poll
 	// latency with cores, nothing else.
 	PollParallelism int
@@ -100,16 +84,6 @@ type Config struct {
 	// already computes the global quantile) and for custom classifiers
 	// that do not implement classify.ThresholdCoordinable.
 	CoordinateEvery int
-	// DisableRetrainStagger turns off the staggered per-shard retrain
-	// schedule that coordinated multi-shard runs apply by default (shard
-	// i's first retrain is advanced by i*(RetrainEvery/shards)).
-	// Staggering exists because a retrain drops that shard's coordinated
-	// global threshold until the next coordination round; in lockstep,
-	// every shard falls back to its local cutoff simultaneously,
-	// reopening the skew-drift window coordination closes. Disable it
-	// only to reproduce the lockstep behavior of earlier versions.
-	// Irrelevant (and inactive) when coordination itself is off.
-	DisableRetrainStagger bool
 	// RoutingBuckets is the skew-adaptive router's requested virtual-
 	// bucket count (default core.DefaultRoutingBuckets = 256; the
 	// effective count is rounded up to a multiple of the shard count so
@@ -173,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CoordinateEvery == 0 {
 		c.CoordinateEvery = 25_000
-	}
-	if c.PollParallelism == 0 {
-		c.PollParallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
 }

@@ -461,11 +461,6 @@ func TestShardPipelineRetrainStagger(t *testing.T) {
 	if len(s0) == 0 || reflect.DeepEqual(s0, s1) {
 		t.Errorf("coordinated shards retrain in lockstep: shard0 %v shard1 %v", s0, s1)
 	}
-	off := coordinated
-	off.DisableRetrainStagger = true
-	if a, b := schedule(off, 0), schedule(off, 1); !reflect.DeepEqual(a, b) {
-		t.Errorf("DisableRetrainStagger left a phase shift: %v vs %v", a, b)
-	}
 	uncoord := Config{Dims: 1, RetrainEvery: 2000, Seed: 1, DisableGlobalThreshold: true}.withDefaults()
 	if a, b := schedule(uncoord, 0), schedule(uncoord, 1); !reflect.DeepEqual(a, b) {
 		t.Errorf("uncoordinated shards staggered (breaks per-shard RunStreaming equivalence): %v vs %v", a, b)
