@@ -23,8 +23,14 @@
 //	                           partition (default round-robin), ?eof=1
 //	                           ends the stream after this request's
 //	                           points
-//	POST /stream/{id}/stop     halts the session and returns its final
-//	                           result (also DELETE /stream/{id})
+//	POST /stream/{id}/stop     cancels the session and returns its final
+//	                           result (also DELETE /stream/{id}); stop
+//	                           does not drain the source: ingest ends
+//	                           wherever it is, queued batches are
+//	                           consumed, and the report covers exactly
+//	                           the points the shards saw. To report a
+//	                           whole finite input, poll until
+//	                           "done":true first
 //	GET  /stream/{id}/checkpoint
 //	                           snapshots the session's committed ingest
 //	                           offsets as a versioned JSON blob (and acks
@@ -58,6 +64,10 @@
 // blocked nanoseconds, batches/points accepted) that make backpressure
 // observable before clients start timing out.
 //
+// Profiling is opt-in: -pprof-addr serves net/http/pprof on its own
+// listener (never on the API mux), e.g. -pprof-addr 127.0.0.1:6060 and
+// then go tool pprof 'http://127.0.0.1:6060/debug/pprof/profile?seconds=15'.
+//
 // Usage:
 //
 //	mbserver -addr :8080
@@ -86,7 +96,9 @@ import (
 	"log"
 	"math"
 	"mime"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -103,8 +115,20 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
+	pprofAddr := flag.String("pprof-addr", "", "listen address for net/http/pprof on its own listener; empty = off")
 	flag.Parse()
 
+	if *pprofAddr != "" {
+		// Bind before serving the API, so a bad address fails startup
+		// instead of a running server losing its profiler.
+		ln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		psrv := &http.Server{Handler: newPprofMux(), ReadHeaderTimeout: 5 * time.Second}
+		log.Printf("mbserver pprof on %s", ln.Addr())
+		go func() { log.Printf("pprof listener: %v", psrv.Serve(ln)) }()
+	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           newMux(newStreamRegistry()),
@@ -131,6 +155,18 @@ func newMux(reg *streamRegistry) *http.ServeMux {
 	mux.HandleFunc("DELETE /stream/{id}", reg.handleStop)
 	mux.HandleFunc("GET /stream/{id}/checkpoint", reg.handleCheckpoint)
 	mux.HandleFunc("POST /stream/{id}/checkpoint", reg.handleResume)
+	return mux
+}
+
+// newPprofMux serves the net/http/pprof handlers. It is a separate mux
+// so profiling endpoints never appear on the API listener.
+func newPprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

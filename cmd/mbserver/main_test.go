@@ -181,13 +181,12 @@ func TestStreamEndpointsLifecycle(t *testing.T) {
 		t.Errorf("poll id %q, want %q", poll.ID, id)
 	}
 
-	var final streamResponse
-	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", &final); code != http.StatusOK {
-		t.Fatalf("stop status %d", code)
-	}
-	if !final.Done {
-		t.Error("final report not done")
-	}
+	// POST /stop cancels ingest rather than draining the source, so
+	// the report below reflects the whole CSV only once a poll has seen
+	// the session finish (TestStreamStopCancelsIngest covers a stop
+	// that lands first).
+	waitStreamDone(t, srv, id)
+	final := stopStream(t, srv, id)
 	if final.Points == 0 {
 		t.Error("final report has no points")
 	}
@@ -204,7 +203,46 @@ func TestStreamEndpointsLifecycle(t *testing.T) {
 	}
 	// The skew breakdown rides along: one status per shard, per-shard
 	// points summing to the stream total, and the imbalance metric.
-	if final.Shards == nil || len(final.Shards.PerShard) != 2 {
+	requireShardTotals(t, final, 2)
+	if final.Shards.Imbalance < 1 {
+		t.Errorf("imbalance %v < 1", final.Shards.Imbalance)
+	}
+	requireReaped(t, srv, id)
+}
+
+// TestStreamStopCancelsIngest: a stop that lands right after start
+// cancels ingest wherever it is — possibly before any point was read.
+// Whatever was ingested, the report is final, its total agrees with the
+// per-shard counts behind the answer, and the session is reaped.
+func TestStreamStopCancelsIngest(t *testing.T) {
+	srv := httptest.NewServer(newMux(newStreamRegistry()))
+	defer srv.Close()
+	csvPath := writeTestCSV(t)
+	body := fmt.Sprintf(`{"input":%q,"metrics":["power"],"attributes":["device"],"minSupport":0.05,"decayEveryPoints":5000,"shards":2}`, csvPath)
+	id := startStream(t, srv, body)
+	final := stopStream(t, srv, id)
+	requireShardTotals(t, final, 2)
+	requireReaped(t, srv, id)
+}
+
+// stopStream POSTs /stop and returns its report, which must be final.
+func stopStream(t *testing.T, srv *httptest.Server, id string) streamResponse {
+	t.Helper()
+	var final streamResponse
+	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", &final); code != http.StatusOK {
+		t.Fatalf("stop status %d", code)
+	}
+	if !final.Done {
+		t.Error("final report not done")
+	}
+	return final
+}
+
+// requireShardTotals checks the shards block has one status per shard
+// and that per-shard points sum to the reported total.
+func requireShardTotals(t *testing.T, final streamResponse, shards int) {
+	t.Helper()
+	if final.Shards == nil || len(final.Shards.PerShard) != shards {
 		t.Fatalf("shards block: %+v", final.Shards)
 	}
 	sum := 0
@@ -214,15 +252,37 @@ func TestStreamEndpointsLifecycle(t *testing.T) {
 	if sum != final.Points {
 		t.Errorf("per-shard points sum %d, want %d", sum, final.Points)
 	}
-	if final.Shards.Imbalance < 1 {
-		t.Errorf("imbalance %v < 1", final.Shards.Imbalance)
-	}
-	// The session is reaped: further polls and stops 404.
+}
+
+// requireReaped checks a stopped session is gone: further polls and
+// stops 404.
+func requireReaped(t *testing.T, srv *httptest.Server, id string) {
+	t.Helper()
 	if code := getJSON(t, srv.URL+"/stream/"+id, nil); code != http.StatusNotFound {
 		t.Errorf("poll after stop status %d, want 404", code)
 	}
 	if code := postJSON(t, srv.URL+"/stream/"+id+"/stop", nil); code != http.StatusNotFound {
 		t.Errorf("double stop status %d, want 404", code)
+	}
+}
+
+// TestPprofMux: the opt-in profiling listener serves net/http/pprof,
+// and the API mux does not.
+func TestPprofMux(t *testing.T) {
+	psrv := httptest.NewServer(newPprofMux())
+	defer psrv.Close()
+	resp, err := http.Get(psrv.URL + "/debug/pprof/cmdline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof cmdline status %d, want 200", resp.StatusCode)
+	}
+	api := httptest.NewServer(newMux(newStreamRegistry()))
+	defer api.Close()
+	if code := getJSON(t, api.URL+"/debug/pprof/cmdline", nil); code != http.StatusNotFound {
+		t.Fatalf("API mux serves pprof: status %d, want 404", code)
 	}
 }
 

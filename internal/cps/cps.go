@@ -7,7 +7,9 @@
 // be on average 130x slower.
 //
 // The tree is flat: nodes live in a single arena slab (itemtree.Arena,
-// first-child/next-sibling layout addressed by int32 indexes) and the
+// first-child/next-sibling layout addressed by int32 indexes, with a
+// hashed (parent, item) child index that makes each level of an
+// insert — on ingest, restructure and merge alike — one lookup) and the
 // per-item rank, header, and allowed tables are dense slices indexed
 // directly by attribute id. Attribute ids are dense by construction of
 // encode.Encoder — that density is load-bearing; see the package

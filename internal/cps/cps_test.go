@@ -356,6 +356,27 @@ func TestInsertZeroAlloc(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Insert allocates %v allocs/run, want 0", n)
 	}
+
+	// Deep and wide: 4-5 item paths fanning out into 128 children
+	// under one parent, the shape a frequent category heads. Every
+	// level is a child-index lookup; steady state still allocates
+	// nothing.
+	wide := NewMCPS()
+	var deep [][]int32
+	for k := int32(0); k < 128; k++ {
+		deep = append(deep, []int32{1, 2, 3, 10 + k}, []int32{1, 2, 3, 10 + k, 200 + k%8})
+	}
+	for _, tx := range deep {
+		wide.Insert(tx, 1)
+	}
+	n = testing.AllocsPerRun(100, func() {
+		for _, tx := range deep {
+			wide.Insert(tx, 1)
+		}
+	})
+	if n != 0 {
+		t.Fatalf("deep, wide Insert allocates %v allocs/run, want 0", n)
+	}
 }
 
 // TestRestructureSteadyStateZeroAlloc: after the first restructure has

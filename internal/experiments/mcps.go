@@ -23,7 +23,7 @@ func MCPSvsCPS(scale float64) []*Table {
 		ID:      "mcps",
 		Title:   "M-CPS-tree vs CPS-tree ingest+restructure time",
 		Columns: []string{"query", "mcps(s)", "cps(s)", "slowdown", "cps_items", "mcps_items"},
-		Notes:   "paper: CPS avg 130x slower, >1000x on Campaign (high cardinality); Accidents only ~1.3-1.7x (9 weather values). With the flat-arena trees the gap at small scale is much narrower than the paper's: restructure cost is no longer dominated by per-item map churn, so the CPS penalty (re-sorting every stored item) only re-emerges at paper-scale cardinalities and windows",
+		Notes:   "paper: CPS avg 130x slower, >1000x on Campaign (high cardinality); Accidents only ~1.3-1.7x (9 weather values). With the flat-arena trees the gap at small scale is much narrower than the paper's: restructure cost is no longer dominated by per-item map churn, so the CPS penalty (re-sorting every stored item) only re-emerges at paper-scale cardinalities and windows. The hashed (parent, item) child index made both trees ~2.5-4x faster at scale 0.02 (2 vCPUs: LC mcps 0.084 -> 0.020 s, EC 0.108 -> 0.031 s, MC 0.089 -> 0.037 s) without moving the ratio, which stays ~1.0-1.5: CPS and M-CPS share the arena, so both shed the sibling scans",
 	}
 	for _, name := range []string{"Accidents", "Liquor", "Campaign", "CMT"} {
 		ds, err := gen.DatasetByName(name)

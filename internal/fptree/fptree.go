@@ -6,8 +6,9 @@
 // M-CPS-tree can be mined by replaying its prefix paths.
 //
 // Like the cps package, the tree is flat (itemtree.Arena): nodes live
-// in one slab addressed by int32 indexes and the per-item tables are
-// dense slices. The top-level tree is indexed directly by attribute id
+// in one slab addressed by int32 indexes, builds find children through
+// the arena's hashed child index, and the per-item tables are dense
+// slices. The top-level tree is indexed directly by attribute id
 // (dense by construction of encode.Encoder; negative ids are ignored).
 // Conditional trees built during mining live in the parent tree's rank
 // space — token domains shrink at every recursion level, so a

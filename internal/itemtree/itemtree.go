@@ -1,24 +1,36 @@
 // Package itemtree is the shared flat-arena core of MacroBase's two
 // prefix trees (internal/cps, internal/fptree): a contiguous node slab
 // addressed by int32 indexes in first-child/next-sibling layout, with
-// per-rank header chains for node-link traversals and a dense
-// root-child table for O(1) child lookup at the root, where fan-out is
-// largest. The packages on top own item semantics (what a token means,
-// how ranks are assigned, when headers accumulate); this package owns
-// the structural invariants, so a layout fix lands in exactly one
-// place.
+// per-rank header chains for node-link traversals and one hashed child
+// index keyed by (parent, item) for O(1) child lookup at every depth.
+// The packages on top own item semantics (what a token means, how
+// ranks are assigned, when headers accumulate); this package owns the
+// structural invariants, so a layout fix lands in exactly one place.
+//
+// The child index is derived state, used only by InsertSorted: it is
+// rebuilt from the slab when it grows or after CloneInto invalidates
+// it, and emptied (keeping capacity) by Reset. Sibling lists are not
+// short in practice — a frequent item near the root heads hundreds of
+// children — so a first-child/next-sibling scan per level made inserts
+// linear in fan-out. The slab itself (append order, First/Next
+// prepends, header chains, node indexes) is exactly what the scan
+// produced.
 //
 // An Arena is not safe for concurrent use in general, with one
 // carve-out the parallel poll pipeline depends on: the read-only
 // walks (Support, SupportCapped, ChainCount) take all their scratch
-// from the caller, so any number of goroutines may run them against
-// the same arena concurrently, provided no mutating method (Insert,
-// Decay, Reset, Clone target) runs at the same time. The reusable
-// per-tree scratch that makes the *owning* trees single-threaded
-// lives in cps/fptree, not here.
+// from the caller and never touch the child index, so any number of
+// goroutines may run them against the same arena concurrently,
+// provided no mutating method (InsertSorted, Decay, Reset, Clone
+// target) runs at the same time. The reusable per-tree scratch that
+// makes the *owning* trees single-threaded lives in cps/fptree, not
+// here.
 package itemtree
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // NilIdx marks an empty int32 index slot. Node index 0 is the root, so
 // 0 doubles as "none" for child/sibling/link slots (the root can never
@@ -46,13 +58,19 @@ type Header struct {
 	Head, Tail int32
 }
 
-// Arena is the structural core: the node slab plus the per-rank header
-// and root-child tables. Owners append to Headers/RootChild as they
-// register items (one entry per rank, RootChild zeroed).
+// Arena is the structural core: the node slab, the per-rank header
+// table, and the child index. Owners register items with AddRank (one
+// header per rank).
 type Arena struct {
-	Nodes     []Node
-	Headers   []Header
-	RootChild []int32 // rank -> arena index of the root's child
+	Nodes   []Node
+	Headers []Header
+	// index is an open-addressing table of node indexes (NilIdx =
+	// empty), power-of-two sized, at most half full, linear probing.
+	// A slot's key is read back from the node it names (Parent,
+	// Item), so the table stores no keys. len(index) == 0 means
+	// "not built": the next InsertSorted rebuilds it from the slab.
+	index []int32
+	shift uint8 // 64 - log2(len(index)): slot = hash >> shift
 }
 
 // Init makes the arena a valid empty tree (root sentinel only).
@@ -60,19 +78,26 @@ func (a *Arena) Init() {
 	a.Nodes = append(a.Nodes, Node{})
 }
 
-// Reset truncates the arena back to the root and clears the per-rank
-// tables, keeping all capacity. Resetting a zero-value Arena is
-// equivalent to Init, so pooled trees need no separate initialization.
+// Reset truncates the arena back to the root, clears the header table
+// and empties the child index, keeping all capacity. The index keeps
+// its size when it fits the tree being discarded — the next tree is
+// usually similar (a restructure, a per-mine rebuild) — and is
+// otherwise invalidated, so a reset never costs more than the tree it
+// discards. Resetting a zero-value Arena is equivalent to Init, so
+// pooled trees need no separate initialization.
 func (a *Arena) Reset() {
+	if len(a.index) <= 8*len(a.Nodes) {
+		clear(a.index)
+	} else {
+		a.index = a.index[:0]
+	}
 	a.Nodes = append(a.Nodes[:0], Node{})
 	a.Headers = a.Headers[:0]
-	a.RootChild = a.RootChild[:0]
 }
 
-// AddRank appends one rank slot to the per-rank tables.
+// AddRank appends one rank slot to the header table.
 func (a *Arena) AddRank(h Header) {
 	a.Headers = append(a.Headers, h)
-	a.RootChild = append(a.RootChild, NilIdx)
 }
 
 // NumNodes reports the number of tree nodes (excluding the root).
@@ -89,11 +114,14 @@ func (a *Arena) Decay(retain float64) {
 	}
 }
 
-// CloneInto deep-copies the arena's slabs into dst.
+// CloneInto deep-copies the arena's slabs into dst. The child index is
+// not copied: dst's is invalidated (keeping its capacity) and rebuilt
+// by dst's first InsertSorted, so a clone that is only read costs two
+// slab copies.
 func (a *Arena) CloneInto(dst *Arena) {
 	dst.Nodes = slices.Clone(a.Nodes)
 	dst.Headers = slices.Clone(a.Headers)
-	dst.RootChild = slices.Clone(a.RootChild)
+	dst.index = dst.index[:0]
 }
 
 // SortByRank insertion-sorts items ascending by rank[item].
@@ -128,31 +156,32 @@ func SortByRankDesc(items []int32, rank []int32) {
 }
 
 // InsertSorted descends the tree along a rank-sorted transaction,
-// creating missing nodes (wired into the sibling list, the root-child
-// table, and the per-rank header chain) and adding w to every node on
-// the path. Header count accumulation stays with the owner, whose
-// semantics differ between the trees. rank must cover every item.
+// creating missing nodes (prepended to the parent's child list,
+// entered in the child index, and appended to the per-rank header
+// chain) and adding w to every node on the path. Each level is one
+// child-index lookup. Header count accumulation stays with the owner,
+// whose semantics differ between the trees. rank must cover every
+// item.
 func (a *Arena) InsertSorted(items []int32, rank []int32, w float64) {
+	// Size for the worst case up front (every item a new node), so the
+	// table stays at most half full without a check per level.
+	if need := 2 * (len(a.Nodes) + len(items)); need > len(a.index) {
+		a.rebuildIndex(need)
+	}
+	mask := len(a.index) - 1
 	cur := NilIdx // root
 	for _, it := range items {
-		child := NilIdx
-		if cur == NilIdx {
-			child = a.RootChild[rank[it]]
-		} else {
-			for c := a.Nodes[cur].First; c != NilIdx; c = a.Nodes[c].Next {
-				if a.Nodes[c].Item == it {
-					child = c
-					break
-				}
-			}
+		s := a.slot(cur, it)
+		child := a.index[s]
+		for child != NilIdx && (a.Nodes[child].Parent != cur || a.Nodes[child].Item != it) {
+			s = (s + 1) & mask
+			child = a.index[s]
 		}
 		if child == NilIdx {
 			child = int32(len(a.Nodes))
 			a.Nodes = append(a.Nodes, Node{Item: it, Parent: cur, Next: a.Nodes[cur].First})
 			a.Nodes[cur].First = child
-			if cur == NilIdx {
-				a.RootChild[rank[it]] = child
-			}
+			a.index[s] = child
 			h := &a.Headers[rank[it]]
 			if h.Tail == NilIdx {
 				h.Head, h.Tail = child, child
@@ -163,6 +192,35 @@ func (a *Arena) InsertSorted(items []int32, rank []int32, w float64) {
 		}
 		a.Nodes[child].Count += w
 		cur = child
+	}
+}
+
+// slot is the home slot of the (parent, item) key: a Fibonacci hash of
+// the packed pair, keeping the top log2(len(index)) bits.
+func (a *Arena) slot(parent, item int32) int {
+	k := uint64(uint32(parent))<<32 | uint64(uint32(item))
+	return int((k * 0x9E3779B97F4A7C15) >> a.shift)
+}
+
+// rebuildIndex resizes the child index to the smallest power of two
+// >= need (at least 16), reusing its backing array when large enough,
+// and re-enters every node of the slab.
+func (a *Arena) rebuildIndex(need int) {
+	size := max(16, 1<<bits.Len(uint(need-1)))
+	if cap(a.index) >= size {
+		a.index = a.index[:size]
+		clear(a.index)
+	} else {
+		a.index = make([]int32, size)
+	}
+	a.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	mask := size - 1
+	for i := 1; i < len(a.Nodes); i++ {
+		s := a.slot(a.Nodes[i].Parent, a.Nodes[i].Item)
+		for a.index[s] != NilIdx {
+			s = (s + 1) & mask
+		}
+		a.index[s] = int32(i)
 	}
 }
 

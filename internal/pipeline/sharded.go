@@ -902,12 +902,16 @@ func (s *StreamSession) retain(i int, sig explain.Signature, sn *explain.Streami
 	s.snaps[i], s.sigs[i], s.have[i] = sn, sig, true
 }
 
-// Stop halts ingestion, waits for the workers to drain and flush, and
-// returns the final reconciled result. Stop is idempotent. Ingestion
-// is interrupted mid-read for context-aware sources (partitioned
-// backends such as ingest.Push and ingest.PartitionedCSV); a legacy
-// Source blocked inside Next delays Stop until that call returns — use
-// StopContext to bound the wait.
+// Stop cancels ingestion, waits for the workers to drain and flush,
+// and returns the final reconciled result. Stop is idempotent. It is a
+// cancel, not a drain: a finite source that has not been read to its
+// end stays unread (a stop right after start may report no points),
+// and the result covers exactly the points the shards consumed. To
+// report a whole finite input, wait until Done reports true first.
+// Ingestion is interrupted mid-read for context-aware sources
+// (partitioned backends such as ingest.Push and ingest.PartitionedCSV);
+// a legacy Source blocked inside Next delays Stop until that call
+// returns — use StopContext to bound the wait.
 func (s *StreamSession) Stop() (*ShardedResult, error) {
 	return s.StopContext(context.Background())
 }
